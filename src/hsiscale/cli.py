@@ -129,7 +129,7 @@ def cmd_synth(args) -> int:
 # -------------------------------------------------------------- correct
 
 def cmd_correct(args) -> int:
-    from .correct import GdConfig, PsoConfig, derive_seeds, run_correction
+    from .correct import GdConfig, run_correction, swarm_config
     from .fileio import read_cube, save_vector, write_cube
 
     manifest = _ManifestWriter("correct", _config_dict(args), args.seed, args.threads)
@@ -141,16 +141,11 @@ def cmd_correct(args) -> int:
             f"pixels={cube.n_pixels})"
         )
 
-    _, seed_pso = derive_seeds(args.seed)
-    pso = PsoConfig(
-        swarm_size=max(64, args.candidates), iterations=args.pso_iters, seed=seed_pso
-    )
-    gd = GdConfig(max_iters=args.gd_iters)
     corrected, report = run_correction(
         cube,
         args.endmembers,
-        pso_config=pso,
-        gd_config=gd,
+        pso_config=swarm_config(args.candidates, args.seed, args.pso_iters),
+        gd_config=GdConfig(max_iters=args.gd_iters),
         candidate_count=args.candidates,
         rng_seed=args.seed,
     )
@@ -287,6 +282,7 @@ def cmd_ablate(args) -> int:
     c_star = mean_point(reduced)
     floor = denom_floor_for(reduced.pixels)
     gd = GdConfig(max_iters=args.gd_iters)
+    # its own four streams, not swarm_config's: other seeds would re-seed criterion 4's results
     seeds = np.random.SeedSequence(args.seed).spawn(4)
     seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
 
@@ -345,7 +341,7 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    from .correct import GdConfig, PsoConfig, derive_seeds, run_correction
+    from .correct import run_correction, swarm_config
     from .metrics import rmse_mu
     from .synth import SynthConfig, gen_scene
 
@@ -381,15 +377,10 @@ def cmd_sweep(args) -> int:
             )
             scene = gen_scene(config)
             run_seed = int(np.random.SeedSequence([args.seed, j, 1]).generate_state(1)[0])
-            _, seed_pso = derive_seeds(run_seed)
-            pso = PsoConfig(
-                swarm_size=max(64, args.candidates), iterations=args.pso_iters, seed=seed_pso
-            )
             _, report = run_correction(
                 scene.scaled_cube,
                 args.endmembers,
-                pso_config=pso,
-                gd_config=GdConfig(),
+                pso_config=swarm_config(args.candidates, run_seed, args.pso_iters),
                 candidate_count=args.candidates,
                 rng_seed=run_seed,
             )

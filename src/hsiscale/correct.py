@@ -46,6 +46,18 @@ CANDIDATE_MIN_SEPARATION = 0.5
 CANDIDATE_MAX_COND = 1e6
 CANDIDATE_MAX_RETRIES = 20
 _SEPARATION_SUBSAMPLE = 512
+# swarm weights: the constriction values of Clerc & Kennedy (IEEE TEVC 2002)
+_PSO_INERTIA = 0.72
+_PSO_COGNITIVE = 1.49
+_PSO_SOCIAL = 1.49
+# largest particle step, as a fraction of the unit-sphere diameter
+_PSO_VELOCITY_CLAMP = 0.2
+# refinement: first trial step, its backtracking factor, and the stopping
+# tolerances; the gradient tolerance is relative to the starting objective
+_GD_INITIAL_STEP = 1e-2
+_GD_BACKTRACK = 0.5
+_GD_GRAD_TOL = 1e-10
+_GD_STEP_TOL = 1e-14
 _ARMIJO_C = 1e-4
 
 
@@ -120,67 +132,46 @@ class ScalingField:
         return self.values.size
 
     @staticmethod
-    def from_raw(values: np.ndarray, floor: float = MU_FLOOR) -> "ScalingField":
-        """Clamp to the floor, renormalize to mean one, count clamp events."""
+    def from_raw(values: np.ndarray) -> "ScalingField":
+        """Clamp to ``MU_FLOOR``, renormalize to mean one, count clamp events."""
         mu = np.asarray(values, dtype=np.float64).copy()
         if not np.all(np.isfinite(mu)):
             bad = int(np.argmax(~np.isfinite(mu)))
             raise NumericError("non-finite scaling factor", pixel_index=bad)
-        clamped = int(np.count_nonzero(mu < floor))
+        clamped = int(np.count_nonzero(mu < MU_FLOOR))
         for _ in range(10):
-            np.clip(mu, floor, None, out=mu)
+            np.clip(mu, MU_FLOOR, None, out=mu)
             mean = mu.mean()
             mu /= mean
-            if np.min(mu) >= floor * (1.0 - 1e-12):
+            if np.min(mu) >= MU_FLOOR * (1.0 - 1e-12):
                 break
         return ScalingField(values=mu, clamped_count=clamped)
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm search hyperparameters (constriction-style defaults)."""
+    """Swarm search size, length and seed; the weights are module constants."""
 
     swarm_size: int = 64
     iterations: int = 150
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
     seed: int = 0
-    velocity_clamp: float = 0.2  # fraction of the unit-sphere diameter
 
     def __post_init__(self):
         if self.swarm_size < 2:
             raise ValidationError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
-        if not 0 < self.inertia < 1:
-            raise ValidationError("inertia must be in (0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValidationError("cognitive and social weights must be positive")
-        if self.velocity_clamp <= 0:
-            raise ValidationError("velocity_clamp must be positive")
 
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Projected-gradient refinement settings.
-
-    ``grad_tol`` is relative to the starting objective value; the loop
-    stops once the tangential gradient norm falls below
-    ``grad_tol * psi_start``.
-    """
+    """Projected-gradient refinement iteration cap."""
 
     max_iters: int = 500
-    initial_step: float = 1e-2
-    backtrack_factor: float = 0.5
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-14
 
     def __post_init__(self):
-        if min(self.max_iters, self.initial_step, self.grad_tol, self.step_tol) <= 0:
-            raise ValidationError("all GD settings must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValidationError("backtrack_factor must be in (0, 1)")
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -224,6 +215,19 @@ def derive_seeds(rng_seed: int) -> tuple[int, int]:
     return tuple(int(s.generate_state(1)[0]) for s in children)
 
 
+def swarm_config(
+    candidate_count: int, rng_seed: int, iterations: int = PsoConfig.iterations
+) -> PsoConfig:
+    """The swarm ``run_correction`` uses by default for these candidates and seed.
+
+    The swarm holds at least every candidate, and its streams come from
+    the second child of the master seed.
+    """
+    return PsoConfig(
+        swarm_size=max(64, candidate_count), iterations=iterations, seed=derive_seeds(rng_seed)[1]
+    )
+
+
 def mean_point(reduced: ReducedData) -> np.ndarray:
     """Mean of the reduced pixels, summed compensated per coordinate."""
     if reduced.n_pixels < 1:
@@ -237,72 +241,51 @@ def denom_floor_for(pixels: np.ndarray) -> float:
     return DENOM_FLOOR_REL * float(np.mean(np.linalg.norm(pixels, axis=0)))
 
 
-def _clamp_mu(mu: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-preserving magnitude clamp; returns (clamped values, mask)."""
-    mask = np.abs(mu) < floor
+def _clamp_mu(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-preserving magnitude clamp at ``MU_FLOOR``; returns (values, mask)."""
+    mask = np.abs(mu) < MU_FLOOR
     if not mask.any():
         return mu, mask
     out = mu.copy()
     signs = np.sign(out[mask])
     signs[signs == 0] = 1.0
-    out[mask] = signs * floor
+    out[mask] = signs * MU_FLOOR
     return out, mask
 
 
-def _psi_terms(pixels, sq_norms, c_star, normal, denom_floor, mu_floor):
-    """Per-pixel squared projection residuals, or None when degenerate."""
-    d = float(c_star @ normal)
-    if abs(d) < denom_floor:
-        return None, None
-    s = normal @ pixels
-    mu, clamp_mask = _clamp_mu(s / d, mu_floor)
-    residuals = sq_norms * (1.0 - 1.0 / mu) ** 2
-    return residuals, clamp_mask
-
-
-def objective_psi(
-    normal: np.ndarray,
-    reduced: ReducedData,
-    c_star: np.ndarray,
-    mu_floor: float = MU_FLOOR,
-) -> float:
+def objective_psi(normal: np.ndarray, reduced: ReducedData, c_star: np.ndarray) -> float:
     """Sum of squared distances between pixels and their ray projections.
 
     Each pixel is projected along its ray from the origin onto the
     hyperplane defined by (c_star, normal); the residual is the leftover
-    displacement. Pixels whose scale ratio falls under ``mu_floor`` enter
+    displacement. Pixels whose scale ratio falls under ``MU_FLOOR`` enter
     with the clamped ratio. Invariant to rescaling or flipping ``normal``.
     """
-    pixels = reduced.pixels
     normal = np.asarray(normal, dtype=np.float64)
     if normal.shape != (reduced.k,):
         raise DimensionError(f"normal must have shape ({reduced.k},), got {normal.shape}")
-    sq_norms = np.einsum("ij,ij->j", pixels, pixels)
-    residuals, _ = _psi_terms(pixels, sq_norms, c_star, normal, denom_floor_for(pixels), mu_floor)
-    if residuals is None:
+    psi = _PsiEvaluator(reduced, c_star).value(normal)
+    if psi == math.inf:
         raise NearOrthogonalNormalError("normal is orthogonal to the anchor point")
-    return float(residuals.sum())
+    return psi
 
 
 class _PsiEvaluator:
     """Precomputed-state evaluator shared by the optimizers.
 
-    Evaluation is a pure fold over pixels (vectorized, so it parallelizes
-    over the data); invalid normals score +inf instead of raising.
+    ``batch`` is the one place the objective is computed. Evaluation is a
+    pure fold over pixels (vectorized, so it parallelizes over the data);
+    invalid normals score +inf instead of raising.
     """
 
-    def __init__(self, reduced: ReducedData, c_star: np.ndarray, mu_floor: float = MU_FLOOR):
+    def __init__(self, reduced: ReducedData, c_star: np.ndarray):
         self.pixels = reduced.pixels
         self.c_star = np.asarray(c_star, dtype=np.float64)
         self.sq_norms = np.einsum("ij,ij->j", self.pixels, self.pixels)
         self.denom_floor = denom_floor_for(self.pixels)
-        self.mu_floor = mu_floor
 
     def value(self, normal: np.ndarray) -> float:
-        residuals, _ = _psi_terms(
-            self.pixels, self.sq_norms, self.c_star, normal, self.denom_floor, self.mu_floor
-        )
-        return math.inf if residuals is None else float(residuals.sum())
+        return float(self.batch(normal[None])[0])
 
     def batch(self, normals: np.ndarray) -> np.ndarray:
         """Objective for each row of ``normals``."""
@@ -312,7 +295,7 @@ class _PsiEvaluator:
         out = np.full(normals.shape[0], np.inf)
         if valid.any():
             mu = s[valid] / d[valid, None]
-            mu, _ = _clamp_mu(mu, self.mu_floor)
+            mu, _ = _clamp_mu(mu)
             out[valid] = ((1.0 - 1.0 / mu) ** 2 @ self.sq_norms)
         return out
 
@@ -326,9 +309,9 @@ class _PsiEvaluator:
         if abs(d) < self.denom_floor:
             raise NearOrthogonalNormalError("cannot differentiate at an orthogonal normal")
         s = normal @ self.pixels
-        _, clamp_mask = _clamp_mu(s / d, self.mu_floor)
+        _, clamp_mask = _clamp_mu(s / d)
         active = ~clamp_mask
-        s_act = s[active]  # |s| >= mu_floor * |d| > 0 on unclamped pixels
+        s_act = s[active]  # |s| >= MU_FLOOR * |d| > 0 on unclamped pixels
         w = np.zeros_like(s)
         w[active] = self.sq_norms[active] * (1.0 - d / s_act)
         t = np.zeros_like(s)
@@ -339,6 +322,13 @@ class _PsiEvaluator:
             )
         grad = 2.0 * (self.pixels @ t - float((w[active] / s_act).sum()) * self.c_star)
         return grad
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every pair of columns, upper triangle."""
+    diff = points[:, :, None] - points[:, None, :]
+    dists = np.sqrt(np.einsum("kij,kij->ij", diff, diff))
+    return dists[np.triu_indices(points.shape[1], 1)]
 
 
 def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
@@ -363,10 +353,7 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     min_separation = 0.0
     if k >= 2:
         sub = pixels[:, rng.choice(n, size=min(n, _SEPARATION_SUBSAMPLE), replace=False)]
-        diff = sub[:, :, None] - sub[:, None, :]
-        dists = np.sqrt(np.einsum("kij,kij->ij", diff, diff))
-        iu = np.triu_indices(sub.shape[1], 1)
-        min_separation = CANDIDATE_MIN_SEPARATION * float(np.median(dists[iu]))
+        min_separation = CANDIDATE_MIN_SEPARATION * float(np.median(_pairwise_distances(sub)))
 
     accepted: list[np.ndarray] = []
     budget = CANDIDATE_MAX_RETRIES * count
@@ -375,26 +362,15 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
             break
         idx = rng.choice(n, size=k, replace=False)
         b = pixels[:, idx]
-        if k >= 2:
-            diff = b[:, :, None] - b[:, None, :]
-            dists = np.sqrt(np.einsum("kij,kij->ij", diff, diff))
-            iu = np.triu_indices(k, 1)
-            if float(dists[iu].min()) < min_separation:
-                continue
+        if k >= 2 and float(_pairwise_distances(b).min()) < min_separation:
+            continue
         if np.linalg.cond(b) > CANDIDATE_MAX_COND:
             continue
         try:
-            raw = np.linalg.solve(b.T, ones)
-        except np.linalg.LinAlgError:
+            model = HyperplaneModel.build(c_star, np.linalg.solve(b.T, ones), floor)
+        except (np.linalg.LinAlgError, ValidationError, NearOrthogonalNormalError):
             continue
-        norm = np.linalg.norm(raw)
-        if norm == 0 or not np.all(np.isfinite(raw)):
-            continue
-        unit = raw / norm
-        denom = float(c_star @ unit)
-        if abs(denom) < floor:
-            continue
-        accepted.append(unit if denom > 0 else -unit)
+        accepted.append(model.normal)
 
     if not accepted:
         raise DegenerateDataError(
@@ -425,7 +401,7 @@ def pso_minimize(
     evaluator = _PsiEvaluator(reduced, c_star)
 
     n_particles = max(config.swarm_size, len(initial_normals))
-    v_max = config.velocity_clamp * 2.0  # fraction of the sphere diameter
+    v_max = _PSO_VELOCITY_CLAMP * 2.0
     positions = np.empty((n_particles, k))
     velocities = np.empty((n_particles, k))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n_particles)]
@@ -458,9 +434,9 @@ def pso_minimize(
         r1 = draws[:, it, 0, :]
         r2 = draws[:, it, 1, :]
         velocities = (
-            config.inertia * velocities
-            + config.cognitive * r1 * (pbest - positions)
-            + config.social * r2 * (gbest[None, :] - positions)
+            _PSO_INERTIA * velocities
+            + _PSO_COGNITIVE * r1 * (pbest - positions)
+            + _PSO_SOCIAL * r2 * (gbest[None, :] - positions)
         )
         speed = np.linalg.norm(velocities, axis=1)
         over = speed > v_max
@@ -507,7 +483,7 @@ def gd_refine(
     psi = evaluator.value(n)
     if not math.isfinite(psi):
         raise OptimizationError("objective is not finite at the start normal")
-    grad_tol = config.grad_tol * psi
+    grad_tol = _GD_GRAD_TOL * psi
 
     for _ in range(config.max_iters):
         grad = evaluator.gradient(n)
@@ -515,9 +491,9 @@ def gd_refine(
         g_norm = float(np.linalg.norm(tangent))
         if g_norm <= grad_tol:
             break
-        step = config.initial_step
+        step = _GD_INITIAL_STEP
         accepted = False
-        while step >= config.step_tol:
+        while step >= _GD_STEP_TOL:
             cand = n - step * tangent
             cand /= np.linalg.norm(cand)
             psi_cand = evaluator.value(cand)
@@ -525,7 +501,7 @@ def gd_refine(
                 n, psi = cand, psi_cand
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= _GD_BACKTRACK
         if not accepted:
             break
     return n
@@ -597,10 +573,9 @@ def run_correction(
         )
         return corrected, report
 
-    seed_cand, seed_pso = derive_seeds(rng_seed)
-    candidates = candidate_normals(reduced, candidate_count, seed_cand)
+    candidates = candidate_normals(reduced, candidate_count, derive_seeds(rng_seed)[0])
     if pso_config is None:
-        pso_config = PsoConfig(swarm_size=max(64, candidate_count), seed=seed_pso)
+        pso_config = swarm_config(candidate_count, rng_seed)
     if gd_config is None:
         gd_config = GdConfig()
 
@@ -635,26 +610,3 @@ def run_correction(
     )
     return corrected, report
 
-
-def psi_angular_samples(
-    reduced: ReducedData,
-    c_star: np.ndarray,
-    n_theta: int = 90,
-    n_phi: int = 180,
-) -> np.ndarray:
-    """Sample the objective over spherical angles for 3-D reduced data.
-
-    Returns rows ``(theta, phi, psi)`` for external plotting; only defined
-    for K = 3.
-    """
-    if reduced.k != 3:
-        raise DimensionError("angular sampling requires 3-dimensional reduced data")
-    evaluator = _PsiEvaluator(reduced, c_star)
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    normals = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    values = evaluator.batch(normals)
-    return np.column_stack([tt.ravel(), pp.ravel(), values])

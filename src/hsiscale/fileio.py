@@ -68,13 +68,17 @@ def write_matrix_csv(matrix: np.ndarray, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which the header and body parsers reject
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip()
         try:
             rows, cols = (int(tok) for tok in header.split(","))
         except ValueError:
             raise FormatError(f"bad CSV header {header!r}, expected 'rows,cols'", offset=0)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"CSV body does not parse: {exc}") from exc
     if data.shape != (rows, cols):
         raise FormatError(f"CSV body is {data.shape}, header claims ({rows}, {cols})")
     return data

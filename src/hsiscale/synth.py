@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correct import ScalingField
+from .correct import ScalingField, apply_scaling
 from .cube import GroundTruth, HsiCube
 from .errors import GenerationError, ValidationError
 from .fields import gaussian_random_field, matern_covariance, spherical_covariance
@@ -231,13 +231,12 @@ def gen_scene(config: SynthConfig) -> SynthScene:
 
     clean_pixels = endmembers @ abundances
     clean = HsiCube(clean_pixels.reshape(config.bands, config.height, config.width))
-    scaled_data = clean.data * mu.values.reshape(config.height, config.width)[None, :, :]
+    scaled = apply_scaling(clean, mu)
     if config.snr_db is not None:
         rng = _role_rng(config.seed, _ROLE_NOISE)
-        signal_power = float(np.mean(scaled_data**2))
+        signal_power = float(np.mean(scaled.data**2))
         noise_std = np.sqrt(signal_power / 10.0 ** (config.snr_db / 10.0))
-        scaled_data = np.clip(scaled_data + noise_std * rng.standard_normal(scaled_data.shape), 0.0, None)
-    scaled = HsiCube(scaled_data)
+        scaled = HsiCube(np.clip(scaled.data + noise_std * rng.standard_normal(scaled.data.shape), 0.0, None))
 
     scene = SynthScene(clean_cube=clean, scaled_cube=scaled, truth=truth, mu_true=mu)
     if config.snr_db is None:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hsiscale.cli import fnv1a64, main
 
@@ -169,6 +170,15 @@ def test_eval_shape_mismatch_exit_1(tmp_path, capsys):
         "eval", "mu", "--pred", str(tmp_path / "short.f32"), "--truth", str(a / "mu_true.f32"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("payload", [b"2,2\na,b\n", b"2,2\n\xff\xfe\n"], ids=["text", "not-utf8"])
+def test_eval_garbled_csv_format_error(tmp_path, capsys, payload):
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_bytes(payload)
+    code = main(["eval", "abundance", "--pred", str(garbled), "--truth", str(garbled)])
+    assert code == 1
+    assert "error[FormatError]" in capsys.readouterr().err
 
 
 def test_ablate_report(tmp_path, capsys):

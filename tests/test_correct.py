@@ -29,7 +29,6 @@ from hsiscale.correct import (
     _PsiEvaluator,
     denom_floor_for,
     derive_seeds,
-    psi_angular_samples,
 )
 from conftest import grid_search_psi, make_line_data
 
@@ -121,6 +120,22 @@ def test_psi_scale_and_sign_invariance():
         base = objective_psi(n, reduced, c_star)
         for alpha in (-2.0, 0.5, 10.0):
             assert objective_psi(alpha * n, reduced, c_star) == pytest.approx(base, rel=1e-12)
+
+
+def test_psi_value_is_the_batch_kernel():
+    reduced, _, _ = make_line_data(n_pixels=64, mu_std=0.3, seed=19)
+    c_star = mean_point(reduced)
+    evaluator = _PsiEvaluator(reduced, c_star)
+    rng = np.random.default_rng(20)
+    # the last normal is orthogonal to the anchor, so every path scores it inf
+    normals = [rng.standard_normal(2) for _ in range(5)] + [np.array([-c_star[1], c_star[0]])]
+    for n in normals:
+        value = evaluator.value(n)
+        assert value == evaluator.batch(n[None])[0]
+        if math.isfinite(value):
+            assert objective_psi(n, reduced, c_star) == value
+    with pytest.raises(NearOrthogonalNormalError):
+        objective_psi(normals[-1], reduced, c_star)
 
 
 def test_psi_orthogonal_normal_raises():
@@ -328,10 +343,6 @@ def test_hyperplane_model_sign_fix():
 def test_config_validation():
     with pytest.raises(ValidationError):
         PsoConfig(swarm_size=1)
-    with pytest.raises(ValidationError):
-        PsoConfig(inertia=1.5)
-    with pytest.raises(ValidationError):
-        GdConfig(backtrack_factor=1.0)
 
 
 def test_report_monotonicity_enforced():
@@ -428,12 +439,3 @@ def test_error_tracks_bound_scaling():
     bound_ratio = results[64][1] / results[32][1]
     assert bound_ratio == pytest.approx(0.5, abs=0.05)
     assert err_ratio < 0.85  # error genuinely shrinks with N alongside the bound
-
-
-def test_angular_samples_shape():
-    rng = np.random.default_rng(30)
-    pts = rng.uniform(0.5, 1.5, (3, 40))
-    reduced = simple_reduced(pts)
-    samples = psi_angular_samples(reduced, mean_point(reduced), n_theta=10, n_phi=12)
-    assert samples.shape == (120, 3)
-    assert np.all(np.isfinite(samples[:, 2]) | np.isinf(samples[:, 2]))
