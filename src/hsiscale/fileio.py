@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import HsiCube
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, ValidationError
 
 MAGIC = b"HSIC"
 VERSION = 1
@@ -28,8 +28,19 @@ _HEADER = struct.Struct("<4sHHIII")
 MAX_ELEMENTS = 1 << 40
 
 
+def _float32_payload(values: np.ndarray) -> np.ndarray:
+    """Little-endian float32 copy; refuses finite values the cast turns into inf."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(values, dtype="<f4")
+    overflow = np.isinf(payload) & np.isfinite(values)
+    if overflow.any():
+        value = float(values.flat[int(np.argmax(overflow))])
+        raise ValidationError(f"value {value!r} is beyond the float32 range of the file format")
+    return payload
+
+
 def write_cube(cube: HsiCube, path) -> None:
-    payload = np.ascontiguousarray(cube.data, dtype="<f4")
+    payload = _float32_payload(cube.data)
     header = _HEADER.pack(MAGIC, VERSION, 0, cube.bands, cube.height, cube.width)
     Path(path).write_bytes(header + payload.tobytes())
 
@@ -87,8 +98,8 @@ def read_matrix_csv(path) -> np.ndarray:
 def write_matrix_f32(matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     rows, cols = matrix.shape
-    header = struct.pack("<II", rows, cols)
-    Path(path).write_bytes(header + np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+    payload = _float32_payload(matrix)
+    Path(path).write_bytes(struct.pack("<II", rows, cols) + payload.tobytes())
 
 
 def read_matrix_f32(path) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from hsiscale import (
     run_correction,
     svd_reduce,
 )
+import hsiscale.correct as correct_module
 from hsiscale.correct import (
+    MU_FLOOR,
     CorrectionReport,
     _PsiEvaluator,
     denom_floor_for,
@@ -143,6 +146,86 @@ def test_psi_orthogonal_normal_raises():
     c_star = mean_point(reduced)
     with pytest.raises(NearOrthogonalNormalError):
         objective_psi(np.array([0.0, 1.0]), reduced, c_star)
+
+
+def psi_reference(evaluator, normals):
+    """The unfused kernel: whole P x N arrays and copies of the valid rows."""
+    d = normals @ evaluator.c_star
+    s = normals @ evaluator.pixels
+    valid = np.abs(d) >= evaluator.denom_floor
+    out = np.full(normals.shape[0], np.inf)
+    if valid.any():
+        mu = s[valid] / d[valid, None]
+        mask = np.abs(mu) < MU_FLOOR
+        if mask.any():
+            mu = mu.copy()
+            signs = np.sign(mu[mask])
+            signs[signs == 0] = 1.0
+            mu[mask] = signs * MU_FLOOR
+        out[valid] = (1.0 - 1.0 / mu) ** 2 @ evaluator.sq_norms
+    return out
+
+
+def kernel_case(n_random):
+    """Evaluator and normals covering invalid rows and clamps of every sign."""
+    rng = np.random.default_rng(21)
+    pixels = rng.standard_normal((3, 500)) + np.array([[3.0], [0.5], [0.0]])
+    # under the normal e1 these pixels give s = 0, a tiny negative and a tiny positive s
+    pixels[:, :3] = [[0.0, -1e-4, 1e-4], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
+    reduced = simple_reduced(pixels)
+    c_star = mean_point(reduced)
+    orthogonal = np.cross(c_star, [0.0, 0.0, 1.0])
+    # under (-1, 0, 0) the first pixel has s = +0 over a negative d: mu = -0.0
+    special = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], orthogonal, -orthogonal])
+    normals = np.vstack([special, rng.standard_normal((n_random, 3))])
+    return _PsiEvaluator(reduced, c_star), normals
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+@pytest.mark.parametrize("n_random", [0, 1, 296])
+def test_psi_batch_matches_unfused_reference(monkeypatch, block_rows, n_random):
+    if block_rows is not None:
+        # the scratch block is sized when the evaluator is built
+        monkeypatch.setattr(correct_module, "BLOCK_BYTES", block_rows * 8 * 500)
+    evaluator, normals = kernel_case(n_random)
+    if block_rows is not None:
+        assert evaluator._block.shape[0] == block_rows
+    for rows in (normals[:1], normals[2:3], normals):
+        got = evaluator.batch(rows)
+        want = psi_reference(evaluator, rows)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    values = evaluator.batch(normals)
+    assert np.isinf(values[2:4]).all() and np.isfinite(values[:2]).all()
+    mu = (normals[0] @ evaluator.pixels) / float(normals[0] @ evaluator.c_star)
+    assert np.count_nonzero(np.abs(mu) < MU_FLOOR) == 3
+
+
+def test_psi_batch_clamps_zero_ratio_to_positive_floor(worked_reduced):
+    # under e1 the worked example's ratios are (9/4, 0, 3/4); the zero must
+    # enter as +MU_FLOOR, from either sign of the normal
+    evaluator = _PsiEvaluator(worked_reduced, mean_point(worked_reduced))
+    expected = (1.0 - 4.0 / 9.0) ** 2 * 9.0 + (1.0 - 1.0 / MU_FLOOR) ** 2 + (1.0 - 4.0 / 3.0) ** 2 * 2.0
+    values = evaluator.batch(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    np.testing.assert_allclose(values, expected, rtol=1e-12)
+
+
+def test_psi_batch_scratch_is_bounded():
+    rng = np.random.default_rng(22)
+    n = 262144
+    reduced = ReducedData(
+        basis=np.eye(5), pixels=rng.uniform(0.5, 1.5, (5, n)), singular_values=np.arange(5.0, 0.0, -1.0)
+    )
+    evaluator = _PsiEvaluator(reduced, mean_point(reduced))
+    normals = rng.standard_normal((200, 5))
+    tracemalloc.start()
+    try:
+        values = evaluator.batch(normals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).any()
+    assert peak < 0.1 * normals.shape[0] * n * 8
 
 
 # --------------------------------------------------------------- gradient

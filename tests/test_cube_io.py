@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hsiscale import (
     DimensionError,
@@ -117,6 +122,29 @@ def test_matrix_f32_roundtrip(tmp_path):
     assert np.array_equal(read_matrix_f32(path), m)
 
 
+@pytest.mark.parametrize("value", [1e39, 3.5e38])
+def test_write_cube_refuses_values_beyond_float32(tmp_path, value):
+    path = tmp_path / "big.hsic"
+    with pytest.raises(ValidationError):
+        write_cube(HsiCube(np.full((3, 2, 2), value)), path)
+    assert not path.exists()
+
+
+def test_write_matrix_f32_refuses_values_beyond_float32(tmp_path):
+    path = tmp_path / "big.f32"
+    with pytest.raises(ValidationError):
+        write_matrix_f32(np.array([[1.0, -1e39]]), path)
+    assert not path.exists()
+
+
+def test_float32_writers_keep_the_largest_float32(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    write_cube(HsiCube(np.full((1, 1, 2), top)), tmp_path / "top.hsic")
+    assert np.all(read_cube(tmp_path / "top.hsic").data == top)
+    write_matrix_f32(np.array([[top, -top]]), tmp_path / "top.f32")
+    assert np.array_equal(read_matrix_f32(tmp_path / "top.f32"), [[top, -top]])
+
+
 def test_vector_dispatch_by_extension(tmp_path):
     v = np.array([1.0, 0.5, 2.0])
     for name in ("v.csv", "v.f32"):
@@ -138,3 +166,68 @@ def test_ground_truth_validation():
     dependent = np.column_stack([m[:, 0], 2.0 * m[:, 0] / m[:, 0].max() * 0.4])
     with pytest.raises(ValidationError):
         GroundTruth(endmembers=dependent, abundances=a)
+
+
+# ----------------------------------------------------------- reader fuzzing
+
+def _encoded(writer, value, name: str) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        writer(value, path)
+        return path.read_bytes()
+
+
+_RNG = np.random.default_rng(3)
+# reader, a valid file, and the errors damage may raise: FormatError for
+# malformed bytes, ValidationError for a cube payload that is well formed
+# but negative or non-finite (matrix readers do not check values)
+VALID_FILES = {
+    "cube": (
+        read_cube,
+        _encoded(write_cube, HsiCube(_RNG.uniform(0.0, 1.0, (2, 2, 3))), "c.hsic"),
+        (FormatError, ValidationError),
+    ),
+    "f32": (read_matrix_f32, _encoded(write_matrix_f32, _RNG.standard_normal((3, 2)), "m.f32"), FormatError),
+    "csv": (read_matrix_csv, _encoded(write_matrix_csv, _RNG.standard_normal((3, 2)), "m.csv"), FormatError),
+}
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """A valid file truncated, bit-flipped, overwritten in a span, or replaced."""
+    kind = draw(st.sampled_from(["truncate", "flip", "garble", "random"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        out = bytearray(raw)
+        for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    if kind == "garble":
+        start = draw(st.integers(0, len(raw)))
+        junk = draw(st.binary(min_size=1, max_size=16))
+        return raw[:start] + junk + raw[start + len(junk):]
+    return draw(st.binary(max_size=64))
+
+
+@pytest.mark.parametrize("fmt", sorted(VALID_FILES))
+def test_readers_fail_only_with_format_or_validation_errors(tmp_path, fmt):
+    reader, raw, allowed = VALID_FILES[fmt]
+    path = tmp_path / f"fuzz.{fmt}"
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(damaged(raw))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except allowed:
+            pass
+
+    check()
