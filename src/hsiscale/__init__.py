@@ -15,6 +15,7 @@ from .correct import (
     objective_psi,
     pso_minimize,
     run_correction,
+    search_normal,
 )
 from .cube import GroundTruth, HsiCube
 from .errors import (

@@ -33,16 +33,28 @@ def _peek_threads(argv: list[str]) -> str | None:
     return os.environ.get("HSI_SCALE_THREADS")
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _apply_thread_cap(argv: list[str]) -> int | None:
     """Best-effort worker cap: BLAS pools honor these only if set before
     they load, so HSI_SCALE_THREADS in the environment is the reliable
-    route; the flag is still recorded in the manifest."""
+    route; the flag is still recorded in the manifest. A value that is
+    not a positive integer exports nothing; the parser then rejects such
+    a flag as a usage error."""
     value = _peek_threads(argv)
     if value is None:
         return None
     try:
-        count = int(value)
-    except ValueError:
+        count = _thread_count(value)
+    except argparse.ArgumentTypeError:
         return None
     for var in _BLAS_ENV_VARS:
         os.environ.setdefault(var, str(count))
@@ -99,23 +111,43 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-# ---------------------------------------------------------------- synth
+def _read_finite_csv(path):
+    """A CSV matrix for a computation: the reader checks the format, not the values."""
+    import numpy as np
 
-def cmd_synth(args) -> int:
-    from .synth import SynthConfig, gen_scene, write_scene
+    from .errors import ValidationError
+    from .fileio import read_matrix_csv
 
-    config = SynthConfig(
+    matrix = read_matrix_csv(path)
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError(f"{path}: matrix contains non-finite values")
+    return matrix
+
+
+def _scene_config(args: argparse.Namespace, seed: int, scale_std: float, snr_db: float | None = None):
+    """The SynthConfig the scene flags describe."""
+    from .synth import SynthConfig
+
+    return SynthConfig(
         height=args.height,
         width=args.width,
         bands=args.bands,
         endmembers=args.endmembers,
         field_kind=args.kind,
         correlation_length=args.corr_len,
-        scale_std=args.scale_std,
+        scale_std=scale_std,
         scale_correlation_length=args.scale_corr_len,
-        seed=args.seed,
-        snr_db=args.snr_db,
+        seed=seed,
+        snr_db=snr_db,
     )
+
+
+# ---------------------------------------------------------------- synth
+
+def cmd_synth(args) -> int:
+    from .synth import gen_scene, write_scene
+
+    config = _scene_config(args, args.seed, args.scale_std, args.snr_db)
     manifest = _ManifestWriter("synth", _config_dict(args), args.seed, args.threads)
     scene = gen_scene(config)
     out = Path(args.out)
@@ -163,7 +195,7 @@ def cmd_correct(args) -> int:
 # ---------------------------------------------------------------- unmix
 
 def cmd_unmix(args) -> int:
-    from .fileio import read_cube, read_matrix_csv, save_vector, write_matrix_csv
+    from .fileio import read_cube, save_vector, write_matrix_csv
     from .reduction import svd_reduce
     from .unmix import nfindr_extract, unmix
 
@@ -176,7 +208,7 @@ def cmd_unmix(args) -> int:
     pixels = cube.pixel_matrix()
 
     if args.endmember_file is not None:
-        endmembers = read_matrix_csv(args.endmember_file)
+        endmembers = _read_finite_csv(args.endmember_file)
         manifest.add_input(args.endmember_file)
     else:
         reduced = svd_reduce(cube, args.endmembers)
@@ -198,7 +230,7 @@ def cmd_unmix(args) -> int:
 
 def cmd_eval(args) -> int:
     from .correct import ScalingField
-    from .fileio import load_vector, read_cube, read_matrix_csv
+    from .fileio import load_vector, read_cube
     from .metrics import (
         EvalReport,
         abundance_rmse,
@@ -221,12 +253,12 @@ def cmd_eval(args) -> int:
             sigma_min=var,
         )
     elif args.mode == "abundance":
-        pred = read_matrix_csv(args.pred)
-        truth = read_matrix_csv(args.truth)
+        pred = _read_finite_csv(args.pred)
+        truth = _read_finite_csv(args.truth)
         perm = None
         if args.pred_endmembers and args.truth_endmembers:
             perm = match_endmembers(
-                read_matrix_csv(args.truth_endmembers), read_matrix_csv(args.pred_endmembers)
+                _read_finite_csv(args.truth_endmembers), _read_finite_csv(args.pred_endmembers)
             )
         total, per = abundance_rmse(truth, pred, perm)
         report = EvalReport(
@@ -235,7 +267,7 @@ def cmd_eval(args) -> int:
             n_pixels=truth.shape[1],
         )
     else:  # endmembers
-        mean, per = sad_error(read_matrix_csv(args.truth), read_matrix_csv(args.pred))
+        mean, per = sad_error(_read_finite_csv(args.truth), _read_finite_csv(args.pred))
         report = EvalReport(sad_mean=mean, sad_per_endmember=tuple(float(v) for v in per))
 
     print(report.to_json())
@@ -262,9 +294,8 @@ def cmd_ablate(args) -> int:
         candidate_normals,
         denom_floor_for,
         estimate_scaling,
-        gd_refine,
         mean_point,
-        pso_minimize,
+        search_normal,
     )
     from .fileio import load_vector, read_cube
     from .metrics import rmse_mu
@@ -286,42 +317,36 @@ def cmd_ablate(args) -> int:
     seeds = np.random.SeedSequence(args.seed).spawn(4)
     seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
 
-    def score(normal) -> float:
-        model = HyperplaneModel.build(c_star, normal, floor)
+    def score(stage) -> float:
+        model = HyperplaneModel.build(c_star, stage[0], floor)
         return rmse_mu(estimate_scaling(reduced, model), truth)
 
-    def random_units(rng, count):
-        vecs = rng.standard_normal((count, reduced.k))
+    def random_units(seed, count):
+        vecs = np.random.default_rng(seed).standard_normal((count, reduced.k))
         return [v / np.linalg.norm(v) for v in vecs]
 
-    # (a) gradient refinement alone from one random direction
-    rng_a = np.random.default_rng(seed_ints[0])
-    n_a = gd_refine(random_units(rng_a, 1)[0], reduced, c_star, gd)
-
-    # (b) swarm from random directions, then gradient refinement; without
+    # each variant is a cut of the one search. (a) refinement alone from
+    # one random direction
+    *_, gd_only = search_normal(reduced, c_star, random_units(seed_ints[0], 1), None, gd)
+    # (b) swarm from random directions, then refinement; without
     # candidates the swarm stays at its base size
     pso_b = PsoConfig(iterations=args.pso_iters, seed=seed_ints[2])
-    rng_b = np.random.default_rng(seed_ints[1])
-    n_b = gd_refine(
-        pso_minimize(reduced, c_star, random_units(rng_b, pso_b.swarm_size), pso_b),
-        reduced,
-        c_star,
-        gd,
+    *_, pso_random_gd = search_normal(
+        reduced, c_star, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd
     )
-
-    # (c) candidate-seeded swarm without refinement; (d) full pipeline
+    # (c) candidate-seeded swarm without refinement and (d) the full
+    # search are two points of one run
     candidates = candidate_normals(reduced, args.candidates, seed_ints[3])
     pso_cd = PsoConfig(
         swarm_size=max(64, args.candidates), iterations=args.pso_iters, seed=seed_ints[2]
     )
-    n_c = pso_minimize(reduced, c_star, candidates, pso_cd)
-    n_d = gd_refine(n_c, reduced, c_star, gd)
+    _, candidates_pso, full = search_normal(reduced, c_star, candidates, pso_cd, gd)
 
     results = {
-        "gd_only": score(n_a),
-        "pso_random_gd": score(n_b),
-        "candidates_pso": score(n_c),
-        "full": score(n_d),
+        "gd_only": score(gd_only),
+        "pso_random_gd": score(pso_random_gd),
+        "candidates_pso": score(candidates_pso),
+        "full": score(full),
         "seed": args.seed,
     }
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
@@ -343,7 +368,7 @@ def cmd_sweep(args) -> int:
 
     from .correct import run_correction, swarm_config
     from .metrics import rmse_mu
-    from .synth import SynthConfig, gen_scene
+    from .synth import gen_scene
 
     try:
         stds = [float(tok) for tok in args.stds.split(",") if tok.strip()]
@@ -364,18 +389,7 @@ def cmd_sweep(args) -> int:
         errors = []
         for j in range(args.seeds):
             scene_seed = int(np.random.SeedSequence([args.seed, j]).generate_state(1)[0])
-            config = SynthConfig(
-                height=args.height,
-                width=args.width,
-                bands=args.bands,
-                endmembers=args.endmembers,
-                field_kind=args.kind,
-                correlation_length=args.corr_len,
-                scale_std=std,
-                scale_correlation_length=args.scale_corr_len,
-                seed=scene_seed,
-            )
-            scene = gen_scene(config)
+            scene = gen_scene(_scene_config(args, scene_seed, std))
             run_seed = int(np.random.SeedSequence([args.seed, j, 1]).generate_state(1)[0])
             _, report = run_correction(
                 scene.scaled_cube,
@@ -407,7 +421,7 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------- parser
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (default: logical cores)")
+    parser.add_argument("--threads", type=_thread_count, default=None, help="worker cap (default: logical cores)")
     parser.add_argument("--manifest", default=None, help="override the manifest path")
 
 

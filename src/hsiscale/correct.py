@@ -558,6 +558,38 @@ def apply_scaling(cube: HsiCube, mu: ScalingField) -> HsiCube:
     return HsiCube(cube.data * factors[None, :, :])
 
 
+def search_normal(
+    reduced: ReducedData,
+    c_star: np.ndarray,
+    starts: list[np.ndarray],
+    pso_config: PsoConfig | None,
+    gd_config: GdConfig | None,
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """The normal search: best start, then swarm, then refinement.
+
+    Returns the ``(normal, psi)`` after each of the three stages. A stage
+    whose config is None is skipped and repeats the previous point; a stage
+    that fails to improve falls back to the previous point, so psi never
+    increases. Every psi goes through the same evaluation path.
+    """
+    evaluator = _PsiEvaluator(reduced, c_star)
+    values = [evaluator.value(n) for n in starts]
+    best = int(np.argmin(values))
+    stages = [(starts[best], values[best])]
+
+    def no_worse(normal: np.ndarray) -> tuple[np.ndarray, float]:
+        psi = evaluator.value(normal)
+        return stages[-1] if psi > stages[-1][1] else (normal, psi)
+
+    stages.append(
+        stages[-1] if pso_config is None else no_worse(pso_minimize(reduced, c_star, starts, pso_config))
+    )
+    stages.append(
+        stages[-1] if gd_config is None else no_worse(gd_refine(stages[-1][0], reduced, c_star, gd_config))
+    )
+    return tuple(stages)
+
+
 def run_correction(
     cube: HsiCube,
     k: int,
@@ -570,54 +602,24 @@ def run_correction(
 
     Deterministic given the seed. With ``k == 1`` the hyperplane collapses
     to a point and the correction degenerates to dividing each pixel by
-    its magnitude ratio against the mean; the report flags this mode.
+    its magnitude ratio against the mean; the search then has the one
+    normal and skips both stages, and the report flags this mode.
     """
     reduced = svd_reduce(cube, k)
     c_star = mean_point(reduced)
-    floor = denom_floor_for(reduced.pixels)
-
     if k == 1:
-        model = HyperplaneModel.build(c_star, np.ones(1), floor)
-        evaluator = _PsiEvaluator(reduced, c_star)
-        psi = evaluator.value(model.normal)
-        mu_hat = estimate_scaling(reduced, model)
-        corrected = correct_pixels(cube, mu_hat)
-        report = CorrectionReport(
-            mu_hat=mu_hat,
-            model=model,
-            psi_initial=psi,
-            psi_after_pso=psi,
-            psi_final=psi,
-            clamped_pixels=mu_hat.clamped_count,
-            candidate_count=0,
-            seed=rng_seed,
-            degenerate_mode=True,
-        )
-        return corrected, report
+        starts, pso_config, gd_config = [np.ones(1)], None, None
+    else:
+        starts = candidate_normals(reduced, candidate_count, derive_seeds(rng_seed)[0])
+        if pso_config is None:
+            pso_config = swarm_config(candidate_count, rng_seed)
+        if gd_config is None:
+            gd_config = GdConfig()
 
-    candidates = candidate_normals(reduced, candidate_count, derive_seeds(rng_seed)[0])
-    if pso_config is None:
-        pso_config = swarm_config(candidate_count, rng_seed)
-    if gd_config is None:
-        gd_config = GdConfig()
-
-    # every reported objective value goes through the same evaluation path,
-    # and each stage falls back to the previous point if it failed to
-    # improve, so the reported sequence is monotone by construction
-    evaluator = _PsiEvaluator(reduced, c_star)
-    cand_values = [evaluator.value(c) for c in candidates]
-    best_cand = int(np.argmin(cand_values))
-    psi_initial = float(cand_values[best_cand])
-    n_pso = pso_minimize(reduced, c_star, candidates, pso_config)
-    psi_after_pso = evaluator.value(n_pso)
-    if psi_after_pso > psi_initial:
-        n_pso, psi_after_pso = candidates[best_cand], psi_initial
-    n_best = gd_refine(n_pso, reduced, c_star, gd_config)
-    psi_final = evaluator.value(n_best)
-    if psi_final > psi_after_pso:
-        n_best, psi_final = n_pso, psi_after_pso
-
-    model = HyperplaneModel.build(c_star, n_best, floor)
+    (_, psi_initial), (_, psi_after_pso), (normal, psi_final) = search_normal(
+        reduced, c_star, starts, pso_config, gd_config
+    )
+    model = HyperplaneModel.build(c_star, normal, denom_floor_for(reduced.pixels))
     mu_hat = estimate_scaling(reduced, model)
     corrected = correct_pixels(cube, mu_hat)
     report = CorrectionReport(
@@ -627,8 +629,8 @@ def run_correction(
         psi_after_pso=psi_after_pso,
         psi_final=psi_final,
         clamped_pixels=mu_hat.clamped_count,
-        candidate_count=len(candidates),
+        candidate_count=0 if k == 1 else len(starts),
         seed=rng_seed,
+        degenerate_mode=k == 1,
     )
     return corrected, report
-

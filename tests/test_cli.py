@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from hsiscale.cli import fnv1a64, main
+from hsiscale.cli import _BLAS_ENV_VARS, fnv1a64, main
 
 
 SCENE_FLAGS = [
@@ -179,6 +180,60 @@ def test_eval_garbled_csv_format_error(tmp_path, capsys, payload):
     code = main(["eval", "abundance", "--pred", str(garbled), "--truth", str(garbled)])
     assert code == 1
     assert "error[FormatError]" in capsys.readouterr().err
+
+
+NON_FINITE_CSV_RUNS = {
+    # case -> (the CSV that gets a NaN, argv given the scene and that CSV)
+    "unmix-endmember-file": ("endmembers.csv", lambda scene, bad, out: [
+        "unmix", "--input", str(scene / "clean.hsic"), "--endmembers", "3",
+        "--endmember-file", str(bad), "--out", str(out),
+    ]),
+    "eval-endmembers": ("endmembers.csv", lambda scene, bad, out: [
+        "eval", "endmembers", "--pred", str(bad), "--truth", str(scene / "endmembers.csv"),
+    ]),
+    "eval-abundance": ("abundances.csv", lambda scene, bad, out: [
+        "eval", "abundance", "--pred", str(bad), "--truth", str(scene / "abundances.csv"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CSV_RUNS))
+def test_non_finite_csv_matrix_validation_error(tmp_path, capsys, case):
+    from hsiscale.fileio import read_matrix_csv, write_matrix_csv
+
+    scene = synth(tmp_path)
+    name, argv = NON_FINITE_CSV_RUNS[case]
+    matrix = read_matrix_csv(scene / name)
+    matrix[0, 0] = np.nan
+    bad = tmp_path / f"nan-{name}"
+    write_matrix_csv(matrix, bad)
+    capsys.readouterr()
+    assert main(argv(scene, bad, tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert "error[ValidationError]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", [["--threads", "-4"], ["--threads=0"]], ids=["-4", "0"])
+def test_threads_below_one_usage_error(tmp_path, capsys, monkeypatch, flag):
+    for var in _BLAS_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("HSI_SCALE_THREADS", "2")
+    out = tmp_path / "scene"
+    assert main(["synth", *SCENE_FLAGS, *flag, "--out", str(out)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not set(_BLAS_ENV_VARS) & set(os.environ)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_hsi_scale_threads_not_positive_is_ignored(tmp_path, monkeypatch, value):
+    for var in _BLAS_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("HSI_SCALE_THREADS", value)
+    out = synth(tmp_path)
+    assert not set(_BLAS_ENV_VARS) & set(os.environ)
+    assert json.loads((out / "manifest.json").read_text())["threads"] is None
 
 
 def test_ablate_report(tmp_path, capsys):

@@ -23,6 +23,7 @@ from hsiscale import (
     objective_psi,
     pso_minimize,
     run_correction,
+    search_normal,
     svd_reduce,
 )
 import hsiscale.correct as correct_module
@@ -463,6 +464,64 @@ def fast_configs(seed=0):
     )
 
 
+# ---------------------------------------------------------- search_normal
+
+def test_search_without_stages_returns_best_start():
+    reduced, _, _ = make_line_data(n_pixels=128, mu_std=0.3, seed=19)
+    c_star = mean_point(reduced)
+    starts = candidate_normals(reduced, 12, rng_seed=20)
+    evaluator = _PsiEvaluator(reduced, c_star)
+    best = int(np.argmin([evaluator.value(n) for n in starts]))
+    stages = search_normal(reduced, c_star, starts, None, None)
+    assert len(stages) == 3
+    for normal, psi in stages:
+        assert normal is starts[best]
+        assert psi == evaluator.value(starts[best])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_swarm_never_reports_above_best_start(seed):
+    reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=21 + seed)
+    c_star = mean_point(reduced)
+    starts = candidate_normals(reduced, 6, rng_seed=seed)
+    config = PsoConfig(swarm_size=4, iterations=3, seed=seed)
+    (_, psi_start), (normal, psi_swarm), (_, psi_final) = search_normal(
+        reduced, c_star, starts, config, None
+    )
+    assert psi_final == psi_swarm <= psi_start
+    assert psi_swarm == _PsiEvaluator(reduced, c_star).value(normal)
+
+
+def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
+    reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
+    c_star = mean_point(reduced)
+    starts = candidate_normals(reduced, 6, rng_seed=26)
+    values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
+    worst = starts[int(np.argmax(values))]
+    monkeypatch.setattr(correct_module, "pso_minimize", lambda *args: worst)
+    monkeypatch.setattr(correct_module, "gd_refine", lambda *args: worst)
+    stages = search_normal(reduced, c_star, starts, PsoConfig(), GdConfig())
+    best = starts[int(np.argmin(values))]
+    assert max(values) > min(values)
+    assert all(normal is best and psi == min(values) for normal, psi in stages)
+
+
+def test_run_correction_reports_the_search_stages():
+    scene = small_scene(0.3, seed=6)
+    configs = fast_configs(8)
+    _, report = run_correction(scene.scaled_cube, 3, **configs)
+    reduced = svd_reduce(scene.scaled_cube, 3)
+    c_star = mean_point(reduced)
+    starts = candidate_normals(reduced, configs["candidate_count"], derive_seeds(8)[0])
+    stages = search_normal(reduced, c_star, starts, configs["pso_config"], configs["gd_config"])
+    assert (report.psi_initial, report.psi_after_pso, report.psi_final) == tuple(
+        psi for _, psi in stages
+    )
+    assert np.array_equal(report.model.normal, HyperplaneModel.build(
+        c_star, stages[2][0], denom_floor_for(reduced.pixels)
+    ).normal)
+
+
 def test_run_correction_unscaled_fixed_point():
     scene = small_scene(0.0, seed=1)
     corrected, report = run_correction(scene.scaled_cube, 3, **fast_configs(1))
@@ -495,6 +554,7 @@ def test_run_correction_degenerate_k1():
     corrected, report = run_correction(scene.scaled_cube, 1, rng_seed=0)
     assert report.degenerate_mode
     assert report.candidate_count == 0
+    assert report.psi_initial == report.psi_after_pso == report.psi_final
     assert corrected.data.shape == scene.scaled_cube.data.shape
 
 
