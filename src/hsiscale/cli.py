@@ -11,54 +11,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-_BLAS_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
+import numpy as np
+
+from . import __version__
+from .correct import (
+    GdConfig,
+    HyperplaneModel,
+    PsoConfig,
+    ScalingField,
+    candidate_normals,
+    denom_floor_for,
+    estimate_scaling,
+    mean_point,
+    run_correction,
+    search_normal,
+    swarm_config,
 )
-
-
-def _peek_threads(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--threads="):
-            return tok.split("=", 1)[1]
-    return os.environ.get("HSI_SCALE_THREADS")
-
-
-def _thread_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
-
-
-def _apply_thread_cap(argv: list[str]) -> int | None:
-    """Best-effort worker cap: BLAS pools honor these only if set before
-    they load, so HSI_SCALE_THREADS in the environment is the reliable
-    route; the flag is still recorded in the manifest. A value that is
-    not a positive integer exports nothing; the parser then rejects such
-    a flag as a usage error."""
-    value = _peek_threads(argv)
-    if value is None:
-        return None
-    try:
-        count = _thread_count(value)
-    except argparse.ArgumentTypeError:
-        return None
-    for var in _BLAS_ENV_VARS:
-        os.environ.setdefault(var, str(count))
-    return count
+from .errors import DimensionError, HsiScaleError, ValidationError
+from .fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
+from .metrics import EvalReport, abundance_rmse, bound_check, match_endmembers, rmse_mu, sad_error
+from .reduction import svd_reduce
+from .synth import SynthConfig, gen_scene, write_scene
+from .unmix import nfindr_extract, unmix
 
 
 def fnv1a64(data: bytes) -> str:
@@ -76,15 +54,12 @@ def _hash_file(path) -> str:
 class _ManifestWriter:
     """Collects run metadata and writes exactly one manifest per run."""
 
-    def __init__(self, command: str, config: dict, seed: int | None, threads: int | None):
-        from . import __version__
-
+    def __init__(self, command: str, config: dict, seed: int | None):
         self.started = time.perf_counter()
         self.payload = {
             "command": command,
             "version": __version__,
             "seed": seed,
-            "threads": threads,
             "config": config,
             "inputs": {},
             "outputs": {},
@@ -113,11 +88,6 @@ def _usage_error(message: str) -> int:
 
 def _read_finite_csv(path):
     """A CSV matrix for a computation: the reader checks the format, not the values."""
-    import numpy as np
-
-    from .errors import ValidationError
-    from .fileio import read_matrix_csv
-
     matrix = read_matrix_csv(path)
     if not np.all(np.isfinite(matrix)):
         raise ValidationError(f"{path}: matrix contains non-finite values")
@@ -126,8 +96,6 @@ def _read_finite_csv(path):
 
 def _scene_config(args: argparse.Namespace, seed: int, scale_std: float, snr_db: float | None = None):
     """The SynthConfig the scene flags describe."""
-    from .synth import SynthConfig
-
     return SynthConfig(
         height=args.height,
         width=args.width,
@@ -145,10 +113,8 @@ def _scene_config(args: argparse.Namespace, seed: int, scale_std: float, snr_db:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    from .synth import gen_scene, write_scene
-
     config = _scene_config(args, args.seed, args.scale_std, args.snr_db)
-    manifest = _ManifestWriter("synth", _config_dict(args), args.seed, args.threads)
+    manifest = _ManifestWriter("synth", _config_dict(args), args.seed)
     scene = gen_scene(config)
     out = Path(args.out)
     write_scene(scene, config, out)
@@ -161,10 +127,7 @@ def cmd_synth(args) -> int:
 # -------------------------------------------------------------- correct
 
 def cmd_correct(args) -> int:
-    from .correct import GdConfig, run_correction, swarm_config
-    from .fileio import read_cube, save_vector, write_cube
-
-    manifest = _ManifestWriter("correct", _config_dict(args), args.seed, args.threads)
+    manifest = _ManifestWriter("correct", _config_dict(args), args.seed)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
     if args.endmembers > min(cube.bands, cube.n_pixels):
@@ -195,14 +158,10 @@ def cmd_correct(args) -> int:
 # ---------------------------------------------------------------- unmix
 
 def cmd_unmix(args) -> int:
-    from .fileio import read_cube, save_vector, write_matrix_csv
-    from .reduction import svd_reduce
-    from .unmix import nfindr_extract, unmix
-
     if (args.endmember_file is None) == (args.extract is None):
         return _usage_error("provide exactly one of --endmember-file or --extract nfindr")
 
-    manifest = _ManifestWriter("unmix", _config_dict(args), args.seed, args.threads)
+    manifest = _ManifestWriter("unmix", _config_dict(args), args.seed)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
     pixels = cube.pixel_matrix()
@@ -229,21 +188,18 @@ def cmd_unmix(args) -> int:
 # ----------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
-    from .correct import ScalingField
-    from .fileio import load_vector, read_cube
-    from .metrics import (
-        EvalReport,
-        abundance_rmse,
-        bound_check,
-        match_endmembers,
-        rmse_mu,
-        sad_error,
-    )
-
+    inputs = [args.pred, args.truth]
     if args.mode == "mu":
         pred = ScalingField.from_raw(load_vector(args.pred))
         truth = ScalingField.from_raw(load_vector(args.truth))
-        clean = read_cube(args.clean_cube) if args.clean_cube else None
+        clean = None
+        if args.clean_cube:
+            clean = read_cube(args.clean_cube)
+            inputs.append(args.clean_cube)
+            if clean.n_pixels != len(truth):
+                raise DimensionError(
+                    f"--clean-cube has {clean.n_pixels} pixels, the truth field {len(truth)}"
+                )
         var = float(truth.values.var())
         report = EvalReport(
             rmse_mu=rmse_mu(pred, truth),
@@ -260,6 +216,7 @@ def cmd_eval(args) -> int:
             perm = match_endmembers(
                 _read_finite_csv(args.truth_endmembers), _read_finite_csv(args.pred_endmembers)
             )
+            inputs += [args.pred_endmembers, args.truth_endmembers]
         total, per = abundance_rmse(truth, pred, perm)
         report = EvalReport(
             abundance_rmse_total=total,
@@ -274,9 +231,11 @@ def cmd_eval(args) -> int:
     if args.csv:
         report.write_csv(args.csv)
     if args.manifest:
-        manifest = _ManifestWriter("eval", _config_dict(args), None, args.threads)
-        for path in (args.pred, args.truth):
+        manifest = _ManifestWriter("eval", _config_dict(args), None)
+        for path in inputs:
             manifest.add_input(path)
+        if args.csv:
+            manifest.add_output(args.csv)
         manifest.write(args.manifest)
     return 0
 
@@ -284,24 +243,7 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------- ablate
 
 def cmd_ablate(args) -> int:
-    import numpy as np
-
-    from .correct import (
-        GdConfig,
-        HyperplaneModel,
-        PsoConfig,
-        ScalingField,
-        candidate_normals,
-        denom_floor_for,
-        estimate_scaling,
-        mean_point,
-        search_normal,
-    )
-    from .fileio import load_vector, read_cube
-    from .metrics import rmse_mu
-    from .reduction import svd_reduce
-
-    manifest = _ManifestWriter("ablate", _config_dict(args), args.seed, args.threads)
+    manifest = _ManifestWriter("ablate", _config_dict(args), args.seed)
     cube = read_cube(args.input)
     truth = ScalingField.from_raw(load_vector(args.truth_mu))
     manifest.add_input(args.input)
@@ -364,12 +306,6 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def cmd_sweep(args) -> int:
-    import numpy as np
-
-    from .correct import run_correction, swarm_config
-    from .metrics import rmse_mu
-    from .synth import gen_scene
-
     try:
         stds = [float(tok) for tok in args.stds.split(",") if tok.strip()]
     except ValueError:
@@ -379,7 +315,7 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         return _usage_error("--seeds must be >= 1")
 
-    manifest = _ManifestWriter("sweep", _config_dict(args), args.seed, args.threads)
+    manifest = _ManifestWriter("sweep", _config_dict(args), args.seed)
     rows = []
     per_run = []
     # scene seeds depend on the replicate only, not on the std: each
@@ -421,7 +357,6 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------- parser
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=_thread_count, default=None, help="worker cap (default: logical cores)")
     parser.add_argument("--manifest", default=None, help="override the manifest path")
 
 
@@ -516,15 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    from .errors import HsiScaleError
 
     try:
         return args.func(args)

@@ -23,6 +23,8 @@ def rmse_mu(pred: ScalingField, truth: ScalingField) -> float:
 
 
 def _sad_matrix(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    if m.shape[0] != m_hat.shape[0]:
+        raise DimensionError(f"band counts differ: {m.shape[0]} vs {m_hat.shape[0]}")
     norms = np.linalg.norm(m, axis=0)
     norms_hat = np.linalg.norm(m_hat, axis=0)
     if np.min(norms) == 0 or np.min(norms_hat) == 0:
@@ -87,7 +89,10 @@ def abundance_rmse(
 def norm_concentration_ratio(clean_cube: HsiCube) -> float:
     """<||y||>^2 / <||y||^2> over pixels; 1 means equal-magnitude pixels."""
     norms = np.linalg.norm(clean_cube.pixel_matrix(), axis=0)
-    return float(norms.mean() ** 2 / np.mean(norms**2))
+    mean_sq = np.mean(norms**2)
+    if mean_sq == 0:
+        raise ValidationError("clean cube has no nonzero pixel")
+    return float(norms.mean() ** 2 / mean_sq)
 
 
 def bound_check(

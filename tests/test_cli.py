@@ -1,10 +1,11 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
-from hsiscale.cli import _BLAS_ENV_VARS, fnv1a64, main
+from hsiscale import HsiCube
+from hsiscale.cli import fnv1a64, main
+from hsiscale.fileio import read_matrix_csv, save_vector, write_cube, write_matrix_csv
 
 
 SCENE_FLAGS = [
@@ -147,8 +148,6 @@ def test_eval_mu_self_is_zero(tmp_path, capsys):
 
 def test_eval_endmembers_scale_invariance(tmp_path, capsys):
     scene = synth(tmp_path)
-    from hsiscale.fileio import read_matrix_csv, write_matrix_csv
-
     m = read_matrix_csv(scene / "endmembers.csv")
     write_matrix_csv(2.0 * m, tmp_path / "scaled_m.csv")
     code = main([
@@ -164,8 +163,6 @@ def test_eval_endmembers_scale_invariance(tmp_path, capsys):
 def test_eval_shape_mismatch_exit_1(tmp_path, capsys):
     a = synth(tmp_path, name="a")
     b = synth(tmp_path, name="b", extra=())
-    from hsiscale.fileio import save_vector
-
     save_vector(np.ones(10), tmp_path / "short.f32")
     code = main([
         "eval", "mu", "--pred", str(tmp_path / "short.f32"), "--truth", str(a / "mu_true.f32"),
@@ -199,8 +196,6 @@ NON_FINITE_CSV_RUNS = {
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CSV_RUNS))
 def test_non_finite_csv_matrix_validation_error(tmp_path, capsys, case):
-    from hsiscale.fileio import read_matrix_csv, write_matrix_csv
-
     scene = synth(tmp_path)
     name, argv = NON_FINITE_CSV_RUNS[case]
     matrix = read_matrix_csv(scene / name)
@@ -214,26 +209,76 @@ def test_non_finite_csv_matrix_validation_error(tmp_path, capsys, case):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag", [["--threads", "-4"], ["--threads=0"]], ids=["-4", "0"])
-def test_threads_below_one_usage_error(tmp_path, capsys, monkeypatch, flag):
-    for var in _BLAS_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("HSI_SCALE_THREADS", "2")
-    out = tmp_path / "scene"
-    assert main(["synth", *SCENE_FLAGS, *flag, "--out", str(out)]) == 2
-    assert "--threads" in capsys.readouterr().err
-    assert not set(_BLAS_ENV_VARS) & set(os.environ)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["0", "two"])
-def test_hsi_scale_threads_not_positive_is_ignored(tmp_path, monkeypatch, value):
-    for var in _BLAS_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("HSI_SCALE_THREADS", value)
+def test_threads_flag_is_gone(tmp_path, capsys):
+    assert main(["synth", *SCENE_FLAGS, "--threads", "2", "--out", str(tmp_path / "x")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     out = synth(tmp_path)
-    assert not set(_BLAS_ENV_VARS) & set(os.environ)
-    assert json.loads((out / "manifest.json").read_text())["threads"] is None
+    assert "threads" not in json.loads((out / "manifest.json").read_text())
+
+
+EVAL_MANIFEST_RUNS = {
+    # case -> (argv given the scene, the files the run reads besides --pred/--truth)
+    "mu-clean-cube": lambda scene: (
+        ["mu", "--pred", str(scene / "mu_true.f32"), "--truth", str(scene / "mu_true.f32"),
+         "--clean-cube", str(scene / "clean.hsic")],
+        [scene / "mu_true.f32", scene / "clean.hsic"],
+    ),
+    "abundance-endmembers": lambda scene: (
+        ["abundance", "--pred", str(scene / "abundances.csv"), "--truth", str(scene / "abundances.csv"),
+         "--pred-endmembers", str(scene / "endmembers.csv"),
+         "--truth-endmembers", str(scene / "endmembers.csv")],
+        [scene / "abundances.csv", scene / "endmembers.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_MANIFEST_RUNS))
+def test_eval_manifest_hashes_every_file(tmp_path, capsys, case):
+    scene = synth(tmp_path)
+    argv, reads = EVAL_MANIFEST_RUNS[case](scene)
+    csv, manifest_path = tmp_path / "per.csv", tmp_path / "eval.json"
+    assert main(["eval", *argv, "--csv", str(csv), "--manifest", str(manifest_path)]) == 0
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["inputs"] == {str(p): fnv1a64(p.read_bytes()) for p in reads}
+    assert manifest["outputs"] == {str(csv): fnv1a64(csv.read_bytes())}
+
+
+@pytest.mark.parametrize("mode", ["endmembers", "abundance"])
+def test_eval_band_mismatch_dimension_error(tmp_path, capsys, mode):
+    scene = synth(tmp_path)
+    m = read_matrix_csv(scene / "endmembers.csv")
+    write_matrix_csv(m[:10], tmp_path / "m10.csv")
+    write_matrix_csv(np.vstack([m[:10], m[:2]]), tmp_path / "m12.csv")
+    if mode == "endmembers":
+        argv = ["--pred", str(tmp_path / "m12.csv"), "--truth", str(tmp_path / "m10.csv")]
+    else:
+        argv = ["--pred", str(scene / "abundances.csv"), "--truth", str(scene / "abundances.csv"),
+                "--pred-endmembers", str(tmp_path / "m12.csv"),
+                "--truth-endmembers", str(tmp_path / "m10.csv")]
+    capsys.readouterr()
+    assert main(["eval", mode, *argv]) == 1
+    captured = capsys.readouterr()
+    assert "error[DimensionError]" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "cube, error",
+    [(np.ones((14, 4, 4)), "DimensionError"), (np.zeros((14, 16, 16)), "ValidationError")],
+    ids=["16-px", "all-zero"],
+)
+def test_eval_mu_bad_clean_cube(tmp_path, capsys, cube, error):
+    scene = synth(tmp_path)
+    write_cube(HsiCube(cube), tmp_path / "clean.hsic")
+    capsys.readouterr()
+    code = main([
+        "eval", "mu", "--pred", str(scene / "mu_true.f32"), "--truth", str(scene / "mu_true.f32"),
+        "--clean-cube", str(tmp_path / "clean.hsic"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"error[{error}]" in captured.err
+    assert captured.out == ""
 
 
 def test_ablate_report(tmp_path, capsys):
