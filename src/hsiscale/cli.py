@@ -4,12 +4,13 @@ evaluation, the ablation experiment, and the error-vs-std sweep.
 Exit codes: 0 success, 1 runtime/algorithm failure, 2 usage error.
 Every seeded command is deterministic: identical flags produce
 bit-identical artifacts. Each run records a JSON manifest naming its
-inputs and outputs by 64-bit FNV-1a content hash.
+inputs and outputs by a 64-bit BLAKE2b content hash (``"hash": "blake2b-64"``).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -40,15 +41,28 @@ from .unmix import nfindr_extract, unmix
 
 
 def fnv1a64(data: bytes) -> str:
-    """Canonical 64-bit FNV-1a over raw bytes, as a hex digest."""
+    """Canonical 64-bit FNV-1a over raw bytes, as a hex digest.
+
+    Manifests no longer use it (see ``_hash_file``); perfbench still traces it.
+    """
     h = 0xCBF29CE484222325
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return f"{h:016x}"
 
 
+HASH_NAME = "blake2b-64"
+# bytes read per step, so hashing memory stays flat whatever the file size
+_HASH_CHUNK = 1 << 20
+
+
 def _hash_file(path) -> str:
-    return fnv1a64(Path(path).read_bytes())
+    """Streamed 64-bit BLAKE2b of a file's bytes, as a hex digest."""
+    digest = hashlib.blake2b(digest_size=8)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class _ManifestWriter:
@@ -61,6 +75,7 @@ class _ManifestWriter:
             "version": __version__,
             "seed": seed,
             "config": config,
+            "hash": HASH_NAME,
             "inputs": {},
             "outputs": {},
         }
@@ -209,10 +224,15 @@ def cmd_eval(args) -> int:
             sigma_min=var,
         )
     elif args.mode == "abundance":
+        # one endmember file alone cannot pair the abundance rows
+        flags = {"--pred-endmembers": args.pred_endmembers, "--truth-endmembers": args.truth_endmembers}
+        missing = [flag for flag, path in flags.items() if path is None]
+        if len(missing) == 1:
+            return _usage_error(f"{missing[0]} is required with the other endmember file")
         pred = _read_finite_csv(args.pred)
         truth = _read_finite_csv(args.truth)
         perm = None
-        if args.pred_endmembers and args.truth_endmembers:
+        if args.pred_endmembers is not None:
             perm = match_endmembers(
                 _read_finite_csv(args.truth_endmembers), _read_finite_csv(args.pred_endmembers)
             )

@@ -43,13 +43,117 @@ class UnmixResult:
             raise ValidationError("abundance columns must sum to one")
 
 
+def _passive_solve(gram, mty, inv_d2, passive, cols):
+    """Unconstrained minimizers on each pixel's passive set, for pixels ``cols``.
+
+    Pixels are grouped on their passive set, and each group is one bordered
+    solve [G_PP 1; 1^T -1/delta^2] [s; lam] = [M_P^T y; 1] for all its
+    pixels, where lam = delta^2 (sum(s) - 1). The border keeps delta^2 out of
+    the sums, where its rounding would swamp the endmember Gram matrix.
+    """
+    k = gram.shape[0]
+    codes = (1 << np.arange(k)) @ passive[:, cols]
+    order = np.argsort(codes, kind="stable")
+    sets, starts = np.unique(codes[order], return_index=True)
+    s = np.zeros((k, cols.size))
+    lam = np.empty(cols.size)
+    for code, group in zip(sets, np.split(order, starts[1:])):
+        idx = np.flatnonzero((code >> np.arange(k)) & 1)
+        p = idx.size
+        border = np.empty((p + 1, p + 1))
+        border[:p, :p] = gram[np.ix_(idx, idx)]
+        border[:p, p] = border[p, :p] = 1.0
+        border[p, p] = -inv_d2
+        rhs = np.empty((p + 1, group.size))
+        rhs[:p] = mty[np.ix_(idx, cols[group])]
+        rhs[p] = 1.0
+        sol = np.linalg.solve(border, rhs)
+        s[np.ix_(idx, group)] = sol[:p]
+        lam[group] = sol[p]
+    return s, lam
+
+
+def _lawson_hanson(gram, mty, delta):
+    """Lawson-Hanson NNLS of the sum-to-one-augmented system for every pixel at once.
+
+    Works in K-space from the Gram matrix M^T M and M^T Y, as fast NNLS
+    does (Bro & de Jong 1997). Returns the abundances and a mask of the
+    pixels that converged within 3K outer steps, scipy's iteration limit.
+    """
+    k, n = mty.shape
+    x = np.zeros((k, n))
+    lam = np.full(n, -delta**2)
+    passive = np.zeros((k, n), dtype=bool)
+    # the gradient is a difference of terms this large, and the tolerance
+    # sits just above its rounding: a looser one leaves out abundances of
+    # about tol over the curvature between similar endmembers (1e-12
+    # left out 4e-9 on the walkthrough cube). An entry admitted by
+    # rounding that then cycles ends unsettled, for the per-pixel solve.
+    tol = 1e-15 * (np.abs(mty).max(axis=0) + np.abs(gram).max())
+    todo = np.arange(n)
+    for _ in range(3 * k):
+        grad = mty[:, todo] - gram @ x[:, todo] - lam[todo]
+        grad[passive[:, todo]] = -np.inf
+        j = grad.argmax(axis=0)
+        grows = grad[j, np.arange(todo.size)] > tol[todo]
+        todo, j = todo[grows], j[grows]
+        if todo.size == 0:
+            break
+        passive[j, todo] = True
+        cols = todo
+        while cols.size:
+            s, lam_s = _passive_solve(gram, mty, 1.0 / delta**2, passive, cols)
+            blocked = passive[:, cols] & (s <= 0.0)
+            feasible = ~blocked.any(axis=0)
+            x[:, cols[feasible]] = s[:, feasible]
+            lam[cols[feasible]] = lam_s[feasible]
+            cols, s, lam_s, blocked = (
+                cols[~feasible], s[:, ~feasible], lam_s[~feasible], blocked[:, ~feasible]
+            )
+            # step toward s until the first passive entry reaches zero
+            xc = x[:, cols]
+            gap = xc - s
+            ratio = np.where(blocked, xc / np.where(gap > 0.0, gap, 1.0), np.inf)
+            hit = ratio.argmin(axis=0)
+            alpha = ratio[hit, np.arange(cols.size)]
+            xc -= alpha * gap
+            lam[cols] += alpha * (lam_s - lam[cols])
+            xc[hit, np.arange(cols.size)] = 0.0
+            keep = passive[:, cols] & (xc > 0.0)
+            xc[~keep] = 0.0
+            x[:, cols] = xc
+            passive[:, cols] = keep
+    settled = np.ones(n, dtype=bool)
+    settled[todo] = False
+    return x, settled
+
+
+def _escalate(y: np.ndarray, m: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+    """One pixel by scipy's NNLS, raising the sum-to-one weight until the constraint holds.
+
+    Badly scaled pixels fit poorly, which loosens the sum-to-one row.
+    Returns the abundances and the weight they were solved with.
+    """
+    weight = delta
+    for _ in range(4):
+        aug = np.vstack([m, weight * np.ones((1, m.shape[1]))])
+        target = np.concatenate([y, [weight]])
+        sol, _ = nnls(aug, target)
+        if abs(sol.sum() - 1.0) <= 0.1 * ASC_TOL:
+            break
+        weight *= 10.0
+    return sol, weight
+
+
 def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
     """Fully constrained least-squares abundances, one pixel per column.
 
     Solves min ||y - M a||^2 subject to a >= 0 and sum(a) = 1 by active-set
-    non-negative least squares on the sum-to-one-augmented system. Each
-    solution is KKT-checked: no negative entries and complementary
-    slackness within KKT_TOL.
+    non-negative least squares on the sum-to-one-augmented system, batched
+    over pixels (Heinz & Chang 2001). Pixels whose sum misses the
+    tolerance at the base weight are solved again one at a time with an
+    escalating weight. Each solution is KKT-checked: no negative entries
+    and complementary slackness within KKT_TOL.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     m = np.asarray(endmembers, dtype=np.float64)
@@ -64,24 +168,18 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
     svals = np.linalg.svd(np.vstack([m, delta * np.ones((1, m.shape[1]))]), compute_uv=False)
     if svals[-1] <= 1e-10 * svals[0]:
         raise DimensionError("endmember matrix is rank-deficient")
-    n_pixels = pixels.shape[1]
-    out = np.empty((m.shape[1], n_pixels))
-    for i in range(n_pixels):
-        # badly scaled pixels fit poorly, which loosens the sum-to-one
-        # row; escalate its weight until the constraint meets tolerance
-        weight = delta
-        for _ in range(4):
-            aug = np.vstack([m, weight * np.ones((1, m.shape[1]))])
-            target = np.concatenate([pixels[:, i], [weight]])
-            sol, _ = nnls(aug, target)
-            if abs(sol.sum() - 1.0) <= 0.1 * ASC_TOL:
-                break
-            weight *= 10.0
-        dual = aug.T @ (aug @ sol - target)
-        kkt_scale = 1.0 + float(np.abs(aug.T @ target).max())
-        if np.abs(sol * dual).max() / kkt_scale > KKT_TOL:
-            raise NumericError("active-set solve failed the KKT check", pixel_index=i)
-        out[:, i] = sol
+    gram = m.T @ m
+    mty = m.T @ pixels
+    out, settled = _lawson_hanson(gram, mty, delta)
+    weights = np.full(pixels.shape[1], delta)
+    for i in np.flatnonzero(~settled | (np.abs(out.sum(axis=0) - 1.0) > 0.1 * ASC_TOL)):
+        out[:, i], weights[i] = _escalate(pixels[:, i], m, delta)
+    # the dual of the augmented system, A^T (A a - t), in K-space
+    dual = gram @ out - mty + weights**2 * (out.sum(axis=0) - 1.0)
+    kkt_scale = 1.0 + np.abs(mty + weights**2).max(axis=0)
+    failed = np.flatnonzero(np.abs(out * dual).max(axis=0) / kkt_scale > KKT_TOL)
+    if failed.size:
+        raise NumericError("active-set solve failed the KKT check", pixel_index=int(failed[0]))
     return out
 
 

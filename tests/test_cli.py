@@ -1,10 +1,13 @@
+import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsiscale import HsiCube
-from hsiscale.cli import fnv1a64, main
+from hsiscale.cli import _hash_file, fnv1a64, main
 from hsiscale.fileio import read_matrix_csv, save_vector, write_cube, write_matrix_csv
 
 
@@ -25,6 +28,52 @@ def synth(tmp_path, name="scene", std="0.3", seed="1", extra=()):
 def test_fnv1a64_known_vectors():
     assert fnv1a64(b"") == "cbf29ce484222325"
     assert fnv1a64(b"a") == "af63dc4c8601ec8c"
+
+
+def blake2b_64(path) -> str:
+    return hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+
+
+def test_manifests_hash_every_file_with_blake2b_64(tmp_path, capsys):
+    scene = synth(tmp_path)
+    corrected, unmixed = tmp_path / "c.hsic", tmp_path / "u"
+    assert main([
+        "correct", "--input", str(scene / "scaled.hsic"), "--endmembers", "3",
+        "--out", str(corrected), "--mu-out", str(tmp_path / "mu.f32"), *FAST_OPT,
+    ]) == 0
+    assert main([
+        "unmix", "--input", str(corrected), "--endmembers", "3",
+        "--endmember-file", str(scene / "endmembers.csv"), "--out", str(unmixed),
+    ]) == 0
+    manifests = {
+        "synth": (scene / "manifest.json", 0, 6),
+        "correct": (tmp_path / "c.hsic.manifest.json", 1, 3),
+        "unmix": (unmixed / "manifest.json", 2, 3),
+    }
+    for command, (path, n_inputs, n_outputs) in manifests.items():
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == command
+        assert (len(manifest["inputs"]), len(manifest["outputs"])) == (n_inputs, n_outputs)
+        assert manifest["hash"] == "blake2b-64"
+        for listed in (manifest["inputs"], manifest["outputs"]):
+            assert listed == {name: blake2b_64(Path(name)) for name in listed}
+
+
+def test_hash_file_streams(tmp_path):
+    path = tmp_path / "big.bin"
+    block = np.random.default_rng(0).bytes(1 << 20)
+    with open(path, "wb") as fh:
+        for _ in range(33):
+            fh.write(block)
+    del block
+    tracemalloc.start()
+    try:
+        digest = _hash_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert digest == blake2b_64(path)
 
 
 def test_synth_zero_std_identical_payloads(tmp_path):
@@ -239,8 +288,26 @@ def test_eval_manifest_hashes_every_file(tmp_path, capsys, case):
     csv, manifest_path = tmp_path / "per.csv", tmp_path / "eval.json"
     assert main(["eval", *argv, "--csv", str(csv), "--manifest", str(manifest_path)]) == 0
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["inputs"] == {str(p): fnv1a64(p.read_bytes()) for p in reads}
-    assert manifest["outputs"] == {str(csv): fnv1a64(csv.read_bytes())}
+    assert manifest["hash"] == "blake2b-64"
+    assert manifest["inputs"] == {str(p): blake2b_64(p) for p in reads}
+    assert manifest["outputs"] == {str(csv): blake2b_64(csv)}
+
+
+@pytest.mark.parametrize("given, missing", [
+    ("--pred-endmembers", "--truth-endmembers"),
+    ("--truth-endmembers", "--pred-endmembers"),
+])
+def test_eval_abundance_one_endmember_file_usage_error(tmp_path, capsys, given, missing):
+    scene = synth(tmp_path)
+    capsys.readouterr()
+    code = main([
+        "eval", "abundance", "--pred", str(scene / "abundances.csv"),
+        "--truth", str(scene / "abundances.csv"), given, str(scene / "endmembers.csv"),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert missing in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["endmembers", "abundance"])

@@ -1,12 +1,16 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from hsiscale import (
     DegenerateDataError,
     DimensionError,
     GdConfig,
+    HsiCube,
+    NumericError,
     PsoConfig,
     ScalingField,
     SynthConfig,
@@ -26,7 +30,10 @@ from hsiscale import (
     unmix,
 )
 from hsiscale.metrics import EvalReport, norm_concentration_ratio
-from hsiscale.unmix import _simplex_volume
+from hsiscale.unmix import ASC_TOL, ASC_WEIGHT, KKT_TOL, _simplex_volume
+
+# the package attribute ``hsiscale.unmix`` is the function, not the module
+unmix_module = importlib.import_module("hsiscale.unmix")
 
 
 # ------------------------------------------------------------------- fcls
@@ -85,6 +92,114 @@ def test_fcls_exact_on_clean_scene():
     a = fcls(scene.clean_cube.pixel_matrix(), scene.truth.endmembers)
     total, _ = abundance_rmse(scene.truth.abundances, a)
     assert total < 1e-6
+
+
+def fcls_reference(pixels, endmembers):
+    """The per-pixel solve: one scipy NNLS call per pixel and weight."""
+    m = np.asarray(endmembers, dtype=np.float64)
+    delta = ASC_WEIGHT * float(np.mean(np.linalg.norm(m, axis=0)))
+    out = np.empty((m.shape[1], pixels.shape[1]))
+    for i in range(pixels.shape[1]):
+        weight = delta
+        for _ in range(4):
+            aug = np.vstack([m, weight * np.ones((1, m.shape[1]))])
+            target = np.concatenate([pixels[:, i], [weight]])
+            sol, _ = nnls(aug, target)
+            if abs(sol.sum() - 1.0) <= 0.1 * ASC_TOL:
+                break
+            weight *= 10.0
+        dual = aug.T @ (aug @ sol - target)
+        kkt_scale = 1.0 + float(np.abs(aug.T @ target).max())
+        assert np.abs(sol * dual).max() / kkt_scale <= KKT_TOL
+        out[:, i] = sol
+    return out
+
+
+@pytest.fixture(scope="module")
+def benchmark_scene():
+    """The 128 x 128 px, K=5 walkthrough scene, its lightly corrected cube
+    as the CLI stores it (float32), and the endmembers N-FINDR finds there."""
+    scene = gen_scene(SynthConfig(height=128, width=128, bands=100, endmembers=5, scale_std=0.3, seed=7))
+    corrected, _ = run_correction(
+        scene.scaled_cube, 5, pso_config=PsoConfig(swarm_size=64, iterations=20, seed=7),
+        gd_config=GdConfig(max_iters=50), candidate_count=64, rng_seed=7,
+    )
+    corrected = HsiCube(corrected.data.astype(np.float32).astype(np.float64))
+    extracted = nfindr_extract(svd_reduce(corrected, 5), 5, seed=7)
+    return scene, corrected, extracted
+
+
+def count_nnls_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(unmix_module, "nnls", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cube, endmembers, escalates",
+    [("corrected", "truth", False), ("corrected", "nfindr", False), ("scaled", "truth", True)],
+)
+def test_fcls_matches_per_pixel_reference_on_benchmark_scene(
+    benchmark_scene, monkeypatch, cube, endmembers, escalates
+):
+    scene, corrected, extracted = benchmark_scene
+    pixels = (corrected if cube == "corrected" else scene.scaled_cube).pixel_matrix()
+    # N-FINDR's endmembers are close enough to each other that a loose
+    # stopping tolerance leaves out abundances of a few 1e-9
+    m = scene.truth.endmembers if endmembers == "truth" else extracted
+    calls = count_nnls_calls(monkeypatch)
+    got = fcls(pixels, m)
+    # badly scaled pixels miss the sum at the base weight and take the
+    # per-pixel path; corrected ones never do
+    assert (len(calls) > 0) == escalates
+    np.testing.assert_allclose(got, fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
+
+
+def mixed_pixels(k, n, seed, bands=30):
+    rng = np.random.default_rng(seed)
+    m = gen_endmembers(bands, k, seed=seed)
+    pixels = m @ rng.dirichlet(np.ones(k), n).T * rng.uniform(0.7, 1.3, n)
+    return np.clip(pixels + 0.02 * rng.standard_normal(pixels.shape), 0.0, None), m
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["vertices", "k2", "k8", "single-pixel"],
+)
+def test_fcls_matches_per_pixel_reference(case):
+    if case == "vertices":
+        # pure pixels and two-endmember edges: most constraints active
+        m = gen_endmembers(20, 4, seed=11)
+        pixels = np.column_stack([m, 1.2 * m, 0.5 * (m[:, :3] + m[:, 1:]), 0.3 * m[:, :1] + 0.7 * m[:, 3:]])
+    elif case == "k2":
+        pixels, m = mixed_pixels(2, 400, seed=12)
+    elif case == "k8":
+        pixels, m = mixed_pixels(8, 400, seed=13)
+    else:
+        pixels, m = mixed_pixels(5, 1, seed=14)
+    np.testing.assert_allclose(fcls(pixels, m), fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
+
+
+def test_fcls_kkt_failure_names_the_pixel(monkeypatch):
+    pixels, m = mixed_pixels(3, 6, seed=15)
+    solve = unmix_module._lawson_hanson
+
+    def off_optimum(*args):
+        x, settled = solve(*args)
+        # reversing one pixel's abundances keeps it feasible, sum included,
+        # but moves it off the optimum
+        x[:, 4] = x[::-1, 4]
+        return x, settled
+
+    monkeypatch.setattr(unmix_module, "_lawson_hanson", off_optimum)
+    with pytest.raises(NumericError) as info:
+        fcls(pixels, m)
+    assert info.value.pixel_index == 4
 
 
 def test_unmix_result_residuals():
