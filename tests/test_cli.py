@@ -182,6 +182,32 @@ def test_unmix_nfindr_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_unmix_nfindr_six_endmembers(tmp_path):
+    scene = tmp_path / "scene"
+    assert main([
+        "synth", "--endmembers", "6", "--height", "32", "--width", "32", "--bands", "40",
+        "--seed", "1", "--out", str(scene),
+    ]) == 0
+    assert main([
+        "unmix", "--input", str(scene / "clean.hsic"), "--extract", "nfindr",
+        "--endmembers", "6", "--out", str(tmp_path / "u"),
+    ]) == 0
+
+
+def test_unmix_more_endmembers_than_bands_plus_one(tmp_path, capsys):
+    write_cube(HsiCube(np.full((3, 4, 4), 0.5)), tmp_path / "cube.hsic")
+    write_matrix_csv(np.random.default_rng(0).uniform(0.1, 1.0, (3, 5)), tmp_path / "m.csv")
+    capsys.readouterr()
+    code = main([
+        "unmix", "--input", str(tmp_path / "cube.hsic"), "--endmembers", "5",
+        "--endmember-file", str(tmp_path / "m.csv"), "--out", str(tmp_path / "u"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error[DimensionError]" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_mu_self_is_zero(tmp_path, capsys):
     scene = synth(tmp_path)
     code = main([

@@ -87,6 +87,14 @@ def test_fcls_rank_deficient_rejected():
         fcls(np.ones((5, 3)), m)
 
 
+def test_fcls_more_endmembers_than_bands_plus_one_rejected():
+    # five distinct signatures in three bands: the sum-to-one row adds one
+    # dimension, which still leaves them linearly dependent
+    m = np.random.default_rng(16).uniform(0.1, 1.0, (3, 5))
+    with pytest.raises(DimensionError):
+        fcls(m @ np.full((5, 1), 0.2), m)
+
+
 def test_fcls_exact_on_clean_scene():
     scene = gen_scene(SynthConfig(height=12, width=12, bands=18, endmembers=3, scale_std=0.0, seed=4))
     a = fcls(scene.clean_cube.pixel_matrix(), scene.truth.endmembers)
@@ -140,6 +148,18 @@ def count_nnls_calls(monkeypatch):
     return calls
 
 
+def record_solve_weights(monkeypatch):
+    weights = []
+    solve = unmix_module._lawson_hanson
+
+    def recorded(gram, mty, delta):
+        weights.append(delta)
+        return solve(gram, mty, delta)
+
+    monkeypatch.setattr(unmix_module, "_lawson_hanson", recorded)
+    return weights
+
+
 @pytest.mark.parametrize(
     "cube, endmembers, escalates",
     [("corrected", "truth", False), ("corrected", "nfindr", False), ("scaled", "truth", True)],
@@ -153,10 +173,12 @@ def test_fcls_matches_per_pixel_reference_on_benchmark_scene(
     # stopping tolerance leaves out abundances of a few 1e-9
     m = scene.truth.endmembers if endmembers == "truth" else extracted
     calls = count_nnls_calls(monkeypatch)
+    weights = record_solve_weights(monkeypatch)
     got = fcls(pixels, m)
-    # badly scaled pixels miss the sum at the base weight and take the
-    # per-pixel path; corrected ones never do
-    assert (len(calls) > 0) == escalates
+    # badly scaled pixels miss the sum at the base weight and are solved
+    # again at a higher one; corrected ones never are
+    assert (max(weights) > weights[0]) == escalates
+    assert len(calls) == 0
     np.testing.assert_allclose(got, fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
 
 
@@ -169,7 +191,7 @@ def mixed_pixels(k, n, seed, bands=30):
 
 @pytest.mark.parametrize(
     "case",
-    ["vertices", "k2", "k8", "single-pixel"],
+    ["vertices", "k2", "k8", "single-pixel", "mixed-x3"],
 )
 def test_fcls_matches_per_pixel_reference(case):
     if case == "vertices":
@@ -180,21 +202,44 @@ def test_fcls_matches_per_pixel_reference(case):
         pixels, m = mixed_pixels(2, 400, seed=12)
     elif case == "k8":
         pixels, m = mixed_pixels(8, 400, seed=13)
-    else:
+    elif case == "single-pixel":
         pixels, m = mixed_pixels(5, 1, seed=14)
+    else:
+        # three times too bright: nearly every pixel misses the sum at the
+        # base weight and is solved again at a higher one
+        pixels, m = mixed_pixels(5, 400, seed=14)
+        pixels = 3.0 * pixels
     np.testing.assert_allclose(fcls(pixels, m), fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
 
 
-def test_fcls_kkt_failure_names_the_pixel(monkeypatch):
+@pytest.mark.parametrize("how", ["reversed", "shift-0.03", "shift-1e-4", "dropped"])
+def test_fcls_kkt_failure_names_the_pixel(monkeypatch, how):
+    # gen_endmembers(30, 3, seed=15): a check scaled by the squared
+    # sum-to-one weight passed the 0.03 shift here
     pixels, m = mixed_pixels(3, 6, seed=15)
     solve = unmix_module._lawson_hanson
 
-    def off_optimum(*args):
-        x, settled = solve(*args)
-        # reversing one pixel's abundances keeps it feasible, sum included,
-        # but moves it off the optimum
-        x[:, 4] = x[::-1, 4]
-        return x, settled
+    def off_optimum(gram, mty, delta):
+        x, multiplier = solve(gram, mty, delta)
+        a = x[:, 4].copy()
+        if how == "reversed":
+            # keeps it feasible, sum included
+            x[:, 4] = a[::-1]
+        elif how == "dropped":
+            # the optimum without one of its endmembers: complementary
+            # slackness holds, but that endmember is a descent direction
+            keep = np.flatnonzero(a > 0.0)[1:]
+            sub, sub_multiplier = solve(gram[np.ix_(keep, keep)], mty[keep, 4:5], delta)
+            x[:, 4] = 0.0
+            x[keep, 4] = sub[:, 0]
+            multiplier[4] = sub_multiplier[0]
+        else:
+            # mass moved between two abundances, sum kept
+            shift = float(how.removeprefix("shift-"))
+            big = int(np.argmax(a))
+            x[big, 4] -= shift
+            x[(big + 1) % a.size, 4] += shift
+        return x, multiplier
 
     monkeypatch.setattr(unmix_module, "_lawson_hanson", off_optimum)
     with pytest.raises(NumericError) as info:
@@ -257,6 +302,16 @@ def test_nfindr_coplanar_degenerate():
     reduced = svd_reduce(cube, 2)
     with pytest.raises(DegenerateDataError):
         nfindr_extract(reduced, 3, seed=0)  # 2-simplex needs non-collinear data
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_nfindr_recovers_many_endmembers(k):
+    scene = gen_scene(SynthConfig(height=48, width=48, bands=40, endmembers=k, scale_std=0.0, seed=1))
+    # the scene holds a pure pixel of every endmember, so the largest
+    # simplex among the pixels is the true one
+    assert np.all(scene.truth.abundances.max(axis=1) >= 1.0 - 1e-12)
+    found = nfindr_extract(svd_reduce(scene.clean_cube, k), k, seed=1)
+    assert sad_error(scene.truth.endmembers, found)[0] < 1e-6
 
 
 def test_nfindr_correction_improves_sad():
