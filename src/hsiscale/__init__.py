@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fileio import load_matrix, load_vector, read_cube, save_matrix, save_vector, write_cube
 from .metrics import (
-    EvalReport,
     abundance_rmse,
     bound_check,
     hyperplane_placement_error,

@@ -34,7 +34,7 @@ from .correct import (
 )
 from .errors import DimensionError, HsiScaleError, ValidationError
 from .fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
-from .metrics import EvalReport, abundance_rmse, bound_check, match_endmembers, rmse_mu, sad_error
+from .metrics import abundance_rmse, bound_check, match_endmembers, rmse_mu, sad_error
 from .reduction import svd_reduce
 from .synth import SynthConfig, gen_scene, write_scene
 from .unmix import nfindr_extract, unmix
@@ -216,13 +216,14 @@ def cmd_eval(args) -> int:
                     f"--clean-cube has {clean.n_pixels} pixels, the truth field {len(truth)}"
                 )
         var = float(truth.values.var())
-        report = EvalReport(
-            rmse_mu=rmse_mu(pred, truth),
-            bound_rhs=bound_check(truth, len(truth), clean),
-            n_pixels=len(truth),
-            sigma_max=var,
-            sigma_min=var,
-        )
+        payload = {
+            "rmse_mu": rmse_mu(pred, truth),
+            "bound_rhs": bound_check(truth, clean),
+            "n_pixels": len(truth),
+            "sigma_max": var,
+            "sigma_min": var,
+        }
+        rows = []  # the --csv cells after the endmember index; mu has none
     elif args.mode == "abundance":
         # one endmember file alone cannot pair the abundance rows
         flags = {"--pred-endmembers": args.pred_endmembers, "--truth-endmembers": args.truth_endmembers}
@@ -238,18 +239,24 @@ def cmd_eval(args) -> int:
             )
             inputs += [args.pred_endmembers, args.truth_endmembers]
         total, per = abundance_rmse(truth, pred, perm)
-        report = EvalReport(
-            abundance_rmse_total=total,
-            abundance_rmse_per_endmember=tuple(float(v) for v in per),
-            n_pixels=truth.shape[1],
-        )
+        per = per.tolist()
+        payload = {
+            "abundance_rmse_total": total,
+            "abundance_rmse_per_endmember": per,
+            "n_pixels": truth.shape[1],
+        }
+        rows = [f"{v!r}," for v in per]
     else:  # endmembers
         mean, per = sad_error(_read_finite_csv(args.truth), _read_finite_csv(args.pred))
-        report = EvalReport(sad_mean=mean, sad_per_endmember=tuple(float(v) for v in per))
+        per = per.tolist()
+        payload = {"sad_mean": mean, "sad_per_endmember": per}
+        rows = [f",{v!r}" for v in per]
 
-    print(report.to_json())
+    print(json.dumps(payload, indent=2))
     if args.csv:
-        report.write_csv(args.csv)
+        # one line per endmember: its abundance RMSE, its spectral angle
+        lines = [f"{i},{row}\n" for i, row in enumerate(rows)]
+        Path(args.csv).write_text("endmember,abundance_rmse,sad\n" + "".join(lines))
     if args.manifest:
         manifest = _ManifestWriter("eval", _config_dict(args), None)
         for path in inputs:

@@ -465,12 +465,7 @@ def pso_minimize(
         if over.any():
             velocities[over] *= (v_max / speed[over])[:, None]
         positions = positions + velocities
-        norms = np.linalg.norm(positions, axis=1)
-        collapsed = norms < 1e-12
-        if collapsed.any():
-            positions[collapsed] = pbest[collapsed]
-            norms[collapsed] = np.linalg.norm(positions[collapsed], axis=1)
-        positions /= norms[:, None]
+        positions /= np.linalg.norm(positions, axis=1)[:, None]
 
         values = evaluator.batch(positions)
         improved = values < pbest_val

@@ -4,9 +4,6 @@ and the statistical ceiling on hyperplane placement error.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -79,6 +76,10 @@ def abundance_rmse(
     if a.shape != a_hat.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {a_hat.shape}")
     if permutation is not None:
+        if len(permutation) != a.shape[0]:
+            raise DimensionError(
+                f"permutation has {len(permutation)} entries, the abundances {a.shape[0]} rows"
+            )
         a_hat = a_hat[np.asarray(permutation, dtype=int)]
     diff = a - a_hat
     total = float(np.sqrt(np.mean(np.sum(diff**2, axis=0))))
@@ -95,23 +96,20 @@ def norm_concentration_ratio(clean_cube: HsiCube) -> float:
     return float(norms.mean() ** 2 / mean_sq)
 
 
-def bound_check(
-    mu_true: ScalingField,
-    n_pixels: int,
-    clean_cube: HsiCube | None = None,
-) -> float:
+def bound_check(mu_true: ScalingField, clean_cube: HsiCube | None = None) -> float:
     """Ceiling on the relative RMS hyperplane placement error.
 
     Evaluates sqrt((var - var * ratio) / N) with both variance extremes
-    set to the realized variance of the true scale field, and ratio the
-    pixel-norm concentration of the clean cube (1 when unavailable).
-    Shrinks as 1/sqrt(N); zero variance yields zero.
+    set to the realized variance of the true scale field, ratio the
+    pixel-norm concentration of the clean cube (1 when unavailable) and N
+    the length of the field. Shrinks as 1/sqrt(N); zero variance yields
+    zero.
     """
     var = float(np.var(mu_true.values))
     if var == 0.0:
         return 0.0
     ratio = 1.0 if clean_cube is None else norm_concentration_ratio(clean_cube)
-    return float(np.sqrt(max(var - var * ratio, 0.0) / n_pixels))
+    return float(np.sqrt(max(var - var * ratio, 0.0) / len(mu_true)))
 
 
 def hyperplane_placement_error(clean_reduced_pixels: np.ndarray, normal: np.ndarray) -> float:
@@ -130,47 +128,3 @@ def hyperplane_placement_error(clean_reduced_pixels: np.ndarray, normal: np.ndar
     sq_norms = np.einsum("ij,ij->j", pixels, pixels)
     gaps_sq = (mean_projection / projections - 1.0) ** 2 * sq_norms
     return float(np.sqrt(gaps_sq.mean() / sq_norms.mean()))
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Container for whichever metrics a comparison produced."""
-
-    rmse_mu: float | None = None
-    abundance_rmse_total: float | None = None
-    abundance_rmse_per_endmember: tuple[float, ...] | None = None
-    sad_mean: float | None = None
-    sad_per_endmember: tuple[float, ...] | None = None
-    bound_rhs: float | None = None
-    n_pixels: int | None = None
-    sigma_max: float | None = None
-    sigma_min: float | None = None
-
-    def __post_init__(self):
-        for name in ("rmse_mu", "abundance_rmse_total", "sad_mean", "bound_rhs"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        if self.sad_per_endmember is not None:
-            arr = np.asarray(self.sad_per_endmember)
-            if np.any(arr < 0) or np.any(arr > np.pi):
-                raise ValidationError("spectral angles must lie in [0, pi]")
-
-    def to_json(self) -> str:
-        payload = {k: v for k, v in self.__dict__.items() if v is not None}
-        for key in ("abundance_rmse_per_endmember", "sad_per_endmember"):
-            if key in payload:
-                payload[key] = list(payload[key])
-        return json.dumps(payload, indent=2)
-
-    def write_csv(self, path) -> None:
-        """Per-endmember metric vectors as a small CSV table."""
-        abund = self.abundance_rmse_per_endmember
-        sad = self.sad_per_endmember
-        count = max(len(abund or ()), len(sad or ()))
-        with open(path, "w") as fh:
-            fh.write("endmember,abundance_rmse,sad\n")
-            for i in range(count):
-                a = "" if abund is None or i >= len(abund) else repr(abund[i])
-                s = "" if sad is None or i >= len(sad) else repr(sad[i])
-                fh.write(f"{i},{a},{s}\n")

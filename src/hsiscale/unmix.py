@@ -23,6 +23,8 @@ KKT_TOL = 1e-8
 ANC_TOL = 1e-8
 ASC_TOL = 1e-6
 NFINDR_STARTS = 3
+# vertex-swap sweeps per start; a start stops earlier once a sweep swaps nothing
+NFINDR_SWEEPS = 10
 # relative volume improvement required to accept a vertex swap
 _SWAP_TOL = 1e-12
 
@@ -215,7 +217,6 @@ def nfindr_extract(
     reduced: ReducedData,
     k: int,
     seed: int = 0,
-    max_sweeps: int = 10,
 ) -> np.ndarray:
     """Endmembers as the pixel set of locally maximal simplex volume.
 
@@ -242,7 +243,7 @@ def nfindr_extract(
     for _ in range(NFINDR_STARTS):
         idx = rng.choice(n, size=k, replace=False)
         vol = _simplex_volume(pixels[:, idx])
-        for _ in range(max_sweeps):
+        for _ in range(NFINDR_SWEEPS):
             flat = _is_flat(pixels[:, idx])
             swapped = False
             for j in range(k):

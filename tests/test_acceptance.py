@@ -8,6 +8,7 @@ reproducible.
 import json
 
 import numpy as np
+import pytest
 
 from hsiscale import (
     HsiCube,
@@ -43,16 +44,26 @@ def benchmark_scene(seed: int, std: float = 0.3) -> tuple:
     return gen_scene(config)
 
 
+@pytest.fixture(scope="module")
+def benchmark_corrections() -> dict:
+    """Seed -> (RMSE of mu-hat, corrected cube) on the std-0.3 benchmark scenes.
+
+    Criteria 1, 2 (its 0.3 column) and 8 share these three corrections.
+    """
+    runs = {}
+    for seed in (1, 2, 3):
+        scene = benchmark_scene(seed)
+        corrected, rep = run_correction(scene.scaled_cube, 5, rng_seed=seed + 100)
+        runs[seed] = (rmse_mu(rep.mu_hat, scene.mu_true), corrected)
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # 1. scaling-factor accuracy
 
 
-def test_criterion_1_scaling_accuracy():
-    errors = []
-    for seed in (1, 2, 3):
-        scene = benchmark_scene(seed)
-        _, rep = run_correction(scene.scaled_cube, 5, rng_seed=seed + 100)
-        errors.append(rmse_mu(rep.mu_hat, scene.mu_true))
+def test_criterion_1_scaling_accuracy(benchmark_corrections):
+    errors = [benchmark_corrections[seed][0] for seed in (1, 2, 3)]
     mean_err = float(np.mean(errors))
     passed = mean_err <= 0.05
     report("1 [scaling accuracy]", passed, f"mean RMSE_mu={mean_err:.4f} <= 0.05, runs={[round(e, 4) for e in errors]}")
@@ -63,13 +74,16 @@ def test_criterion_1_scaling_accuracy():
 # 2. linearity of error vs scale std
 
 
-def test_criterion_2_linearity():
+def test_criterion_2_linearity(benchmark_corrections):
     stds = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
     seeds = (1, 2, 3)
     means = []
     for std in stds:
         errs = []
         for seed in seeds:
+            if std == 0.3:  # criterion 1's runs
+                errs.append(benchmark_corrections[seed][0])
+                continue
             # the same replicate scene is rescaled per std, mirroring the
             # protocol of scaling one base scene with fields of varying std
             config = SynthConfig(
@@ -357,11 +371,10 @@ def test_criterion_7_bound_consistency():
 # 8. idempotence
 
 
-def test_criterion_8_idempotence():
+def test_criterion_8_idempotence(benchmark_corrections):
     worst = 0.0
     for seed in (1, 2, 3):
-        scene = benchmark_scene(seed)
-        corrected, _ = run_correction(scene.scaled_cube, 5, rng_seed=seed + 100)
+        corrected = benchmark_corrections[seed][1]
         _, rep2 = run_correction(corrected, 5, rng_seed=seed + 101)
         worst = max(worst, float(rep2.mu_hat.values.std()))
     passed = worst < 0.02

@@ -319,6 +319,62 @@ def test_eval_manifest_hashes_every_file(tmp_path, capsys, case):
     assert manifest["outputs"] == {str(csv): blake2b_64(csv)}
 
 
+EVAL_KEYS = {
+    # mode -> (argv given the scene, the keys printed in order, the number of --csv rows)
+    "mu": (
+        lambda scene: ["--pred", str(scene / "mu_true.f32"), "--truth", str(scene / "mu_true.f32")],
+        ["rmse_mu", "bound_rhs", "n_pixels", "sigma_max", "sigma_min"],
+        0,
+    ),
+    "abundance": (
+        lambda scene: ["--pred", str(scene / "abundances.csv"), "--truth", str(scene / "abundances.csv")],
+        ["abundance_rmse_total", "abundance_rmse_per_endmember", "n_pixels"],
+        3,
+    ),
+    "endmembers": (
+        lambda scene: ["--pred", str(scene / "endmembers.csv"), "--truth", str(scene / "endmembers.csv")],
+        ["sad_mean", "sad_per_endmember"],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EVAL_KEYS))
+def test_eval_prints_the_keys_of_its_mode(tmp_path, capsys, mode):
+    scene = synth(tmp_path)
+    argv, keys, n_rows = EVAL_KEYS[mode]
+    capsys.readouterr()
+    csv = tmp_path / "per.csv"
+    assert main(["eval", mode, *argv(scene), "--csv", str(csv)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "endmember,abundance_rmse,sad"
+    assert len(lines) == 1 + n_rows
+    # each row fills the column of its mode and leaves the other empty
+    for i, line in enumerate(lines[1:]):
+        index, abund, sad = line.split(",")
+        assert index == str(i)
+        assert (abund != "", sad != "") == (mode == "abundance", mode == "endmembers")
+
+
+@pytest.mark.parametrize("columns", [2, 4])
+def test_eval_abundance_endmember_count_mismatch(tmp_path, capsys, columns):
+    scene = synth(tmp_path)
+    m = read_matrix_csv(scene / "endmembers.csv")
+    m = m[:, :2] if columns == 2 else np.hstack([m, 0.5 * (m[:, :1] + m[:, 1:2])])
+    write_matrix_csv(m, tmp_path / "m.csv")
+    capsys.readouterr()
+    code = main([
+        "eval", "abundance", "--pred", str(scene / "abundances.csv"),
+        "--truth", str(scene / "abundances.csv"),
+        "--pred-endmembers", str(tmp_path / "m.csv"), "--truth-endmembers", str(tmp_path / "m.csv"),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error[DimensionError]" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("given, missing", [
     ("--pred-endmembers", "--truth-endmembers"),
     ("--truth-endmembers", "--pred-endmembers"),

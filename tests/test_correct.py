@@ -576,7 +576,7 @@ def test_error_tracks_bound_scaling():
             scene = gen_scene(cfg)
             _, report = run_correction(scene.scaled_cube, 4, rng_seed=seed)
             errs.append(rmse_mu(report.mu_hat, scene.mu_true))
-            bounds.append(bound_check(scene.mu_true, side * side, scene.clean_cube))
+            bounds.append(bound_check(scene.mu_true, scene.clean_cube))
         results[side] = (np.mean(errs), np.mean(bounds))
     err_ratio = results[64][0] / results[32][0]
     bound_ratio = results[64][1] / results[32][1]

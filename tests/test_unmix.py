@@ -14,7 +14,6 @@ from hsiscale import (
     PsoConfig,
     ScalingField,
     SynthConfig,
-    ValidationError,
     abundance_rmse,
     bound_check,
     fcls,
@@ -29,7 +28,7 @@ from hsiscale import (
     svd_reduce,
     unmix,
 )
-from hsiscale.metrics import EvalReport, norm_concentration_ratio
+from hsiscale.metrics import norm_concentration_ratio
 from hsiscale.unmix import ASC_TOL, ASC_WEIGHT, KKT_TOL, _simplex_volume
 
 # the package attribute ``hsiscale.unmix`` is the function, not the module
@@ -413,20 +412,23 @@ class _TwoPixelCube:
 def test_bound_check_values():
     n = 16384
     mu = ScalingField.from_raw(1.0 + 0.3 * np.random.default_rng(13).standard_normal(n))
-    assert bound_check(mu, n, None) == 0.0  # norm ratio defaults to 1
+    assert bound_check(mu) == 0.0  # norm ratio defaults to 1
     flat = ScalingField(values=np.ones(n))
-    assert bound_check(flat, n, None) == 0.0  # zero variance
+    assert bound_check(flat) == 0.0  # zero variance
 
     assert norm_concentration_ratio(_TwoPixelCube()) == pytest.approx(0.8)
     sigma = ScalingField.from_raw(np.array([1.3, 0.7, 1.3, 0.7]))
     expected = math.sqrt((np.var(sigma.values) * (1.0 - 0.8)) / 4)
-    assert bound_check(sigma, 4, _TwoPixelCube()) == pytest.approx(expected, rel=1e-12)
+    assert bound_check(sigma, _TwoPixelCube()) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bound_halves_when_n_quadruples():
-    mu = ScalingField.from_raw(1.0 + 0.3 * np.random.default_rng(14).standard_normal(1000))
-    b1 = bound_check(mu, 4096, _TwoPixelCube())
-    b2 = bound_check(mu, 16384, _TwoPixelCube())
+    # the alternating pattern has variance 0.09 at every even length
+    small = ScalingField(values=1.0 + 0.3 * np.array([1.0, -1.0] * 2048))
+    large = ScalingField(values=1.0 + 0.3 * np.array([1.0, -1.0] * 8192))
+    assert np.var(small.values) == pytest.approx(np.var(large.values), rel=1e-12)
+    b1 = bound_check(small, _TwoPixelCube())
+    b2 = bound_check(large, _TwoPixelCube())
     assert b2 == pytest.approx(0.5 * b1, rel=1e-12)
 
 
@@ -434,7 +436,7 @@ def test_bound_formula_spec_case():
     # variance exactly 0.09 at N=16384 with norm ratio 0.8
     values = 1.0 + 0.3 * np.array([1.0, -1.0] * 8192)
     mu = ScalingField(values=values)
-    got = bound_check(mu, 16384, _TwoPixelCube())
+    got = bound_check(mu, _TwoPixelCube())
     assert got == pytest.approx(math.sqrt(0.09 * (1 - 0.8) / 16384), rel=1e-12)
     # reference arithmetic at ratio 0.9: sqrt(0.009/16384) ~ 7.4e-4
     assert math.sqrt((0.09 - 0.09 * 0.9) / 16384) == pytest.approx(7.4e-4, abs=2e-5)
@@ -448,14 +450,3 @@ def test_placement_error_zero_for_true_normal():
     assert hyperplane_placement_error(pts, normal) < 1e-12
     tilted = np.array([1.0, 0.8])
     assert hyperplane_placement_error(pts, tilted) > 1e-3
-
-
-def test_eval_report_serialization(tmp_path):
-    report = EvalReport(sad_mean=0.1, sad_per_endmember=(0.05, 0.15))
-    payload = report.to_json()
-    assert '"sad_mean"' in payload and "rmse_mu" not in payload
-    with pytest.raises(ValidationError):
-        EvalReport(rmse_mu=-1.0)
-    csv_path = tmp_path / "per.csv"
-    report.write_csv(csv_path)
-    assert csv_path.read_text().startswith("endmember,abundance_rmse,sad")
