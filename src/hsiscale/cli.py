@@ -207,7 +207,8 @@ def cmd_eval(args) -> int:
     if args.mode == "mu":
         pred = ScalingField.from_raw(load_vector(args.pred))
         truth = ScalingField.from_raw(load_vector(args.truth))
-        clean = None
+        payload = {"rmse_mu": rmse_mu(pred, truth)}
+        # bound_rhs needs the clean cube's pixel norms; without one the key is left out
         if args.clean_cube:
             clean = read_cube(args.clean_cube)
             inputs.append(args.clean_cube)
@@ -215,14 +216,9 @@ def cmd_eval(args) -> int:
                 raise DimensionError(
                     f"--clean-cube has {clean.n_pixels} pixels, the truth field {len(truth)}"
                 )
+            payload["bound_rhs"] = bound_check(truth, clean)
         var = float(truth.values.var())
-        payload = {
-            "rmse_mu": rmse_mu(pred, truth),
-            "bound_rhs": bound_check(truth, clean),
-            "n_pixels": len(truth),
-            "sigma_max": var,
-            "sigma_min": var,
-        }
+        payload.update(n_pixels=len(truth), sigma_max=var, sigma_min=var)
         rows = []  # the --csv cells after the endmember index; mu has none
     elif args.mode == "abundance":
         # one endmember file alone cannot pair the abundance rows

@@ -234,8 +234,6 @@ def swarm_config(
 
 def mean_point(reduced: ReducedData) -> np.ndarray:
     """Mean of the reduced pixels, summed compensated per coordinate."""
-    if reduced.n_pixels < 1:
-        raise DimensionError("cannot average an empty pixel set")
     n = reduced.n_pixels
     return np.array([math.fsum(row) / n for row in reduced.pixels])
 
@@ -243,18 +241,6 @@ def mean_point(reduced: ReducedData) -> np.ndarray:
 def denom_floor_for(pixels: np.ndarray) -> float:
     """Orthogonality threshold scaled to the data magnitude."""
     return DENOM_FLOOR_REL * float(np.mean(np.linalg.norm(pixels, axis=0)))
-
-
-def _clamp_mu(mu: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Sign-preserving magnitude clamp at ``MU_FLOOR``, in place.
-
-    Fills ``mask`` with ``|mu| < MU_FLOOR`` and returns it; ``mu`` is
-    written only where the mask has hits, and zeros clamp to +``MU_FLOOR``.
-    """
-    np.logical_and(np.greater(mu, -MU_FLOOR, out=mask), mu < MU_FLOOR, out=mask)
-    if mask.any():
-        mu[mask] = np.where(mu[mask] < 0, -MU_FLOOR, MU_FLOOR)
-    return mask
 
 
 def objective_psi(normal: np.ndarray, reduced: ReducedData, c_star: np.ndarray) -> float:
@@ -279,10 +265,10 @@ class _PsiEvaluator:
 
     ``batch`` is the one place the objective is computed. It works through
     the valid particles in blocks of ``max(1, BLOCK_BYTES // (8 N))`` rows,
-    fused and in place in one float64 block and its boolean mask, which
-    ``__init__`` allocates once; scratch is O(N) whatever the swarm size.
-    That shared scratch makes an evaluator not reentrant: give each thread
-    its own. Invalid normals score +inf instead of raising.
+    fused and in place in one float64 block, which ``__init__`` allocates
+    once; scratch is O(N) whatever the swarm size. That shared scratch
+    makes an evaluator not reentrant: give each thread its own. Invalid
+    normals score +inf instead of raising.
     """
 
     def __init__(self, reduced: ReducedData, c_star: np.ndarray):
@@ -291,9 +277,7 @@ class _PsiEvaluator:
         self.sq_norms = np.einsum("ij,ij->j", self.pixels, self.pixels)
         self.denom_floor = denom_floor_for(self.pixels)
         n = self.pixels.shape[1]
-        rows = max(1, BLOCK_BYTES // (8 * n))
-        self._block = np.empty((rows, n))
-        self._mask = np.empty((rows, n), dtype=bool)
+        self._block = np.empty((max(1, BLOCK_BYTES // (8 * n)), n))
 
     def value(self, normal: np.ndarray) -> float:
         return float(self.batch(normal[None])[0])
@@ -309,8 +293,10 @@ class _PsiEvaluator:
             s = self._block[: r.size]
             np.matmul(normals[r], self.pixels, out=s)  # s = n . p
             s /= d[r, None]                            # mu
-            _clamp_mu(s, self._mask[: r.size])
-            np.divide(1.0, s, out=s)
+            s += 0.0                                   # -0.0 to +0.0, so zeros clamp to +MU_FLOOR
+            with np.errstate(divide="ignore", over="ignore"):
+                np.divide(1.0, s, out=s)               # 1/mu, +-inf where mu is (near) zero
+            np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # the clamp |mu| >= MU_FLOOR, sign kept
             np.subtract(1.0, s, out=s)
             np.square(s, out=s)
             out[r] = s @ self.sq_norms
@@ -326,16 +312,12 @@ class _PsiEvaluator:
         if abs(d) < self.denom_floor:
             raise NearOrthogonalNormalError("cannot differentiate at an orthogonal normal")
         s = normal @ self.pixels
-        active = ~_clamp_mu(s / d, np.empty(s.shape, dtype=bool))
+        active = np.abs(s / d) >= MU_FLOOR
         s_act = s[active]  # |s| >= MU_FLOOR * |d| > 0 on unclamped pixels
         w = np.zeros_like(s)
         w[active] = self.sq_norms[active] * (1.0 - d / s_act)
         t = np.zeros_like(s)
         t[active] = w[active] * d / s_act**2
-        if not np.all(np.isfinite(t)):
-            raise NumericError(
-                "non-finite gradient contribution", pixel_index=int(np.argmax(~np.isfinite(t)))
-            )
         grad = 2.0 * (self.pixels @ t - float((w[active] / s_act).sum()) * self.c_star)
         return grad
 

@@ -65,7 +65,8 @@ def read_cube(path) -> HsiCube:
             f"truncated payload: expected {expected} bytes, got {len(raw)}",
             offset=_HEADER.size,
         )
-    values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN casts to NaN, which HsiCube refuses
+        values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
     return HsiCube(values.reshape(n_bands, height, width))
 
 
@@ -112,7 +113,8 @@ def read_matrix_f32(path) -> np.ndarray:
     expected = 8 + 4 * rows * cols
     if len(raw) != expected:
         raise FormatError(f"truncated payload: expected {expected} bytes, got {len(raw)}", offset=8)
-    return np.frombuffer(raw, dtype="<f4", offset=8).astype(np.float64).reshape(rows, cols)
+    with np.errstate(invalid="ignore"):  # a signalling NaN casts to NaN, like a quiet one
+        return np.frombuffer(raw, dtype="<f4", offset=8).astype(np.float64).reshape(rows, cols)
 
 
 def save_matrix(matrix: np.ndarray, path) -> None:

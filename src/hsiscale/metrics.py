@@ -96,19 +96,18 @@ def norm_concentration_ratio(clean_cube: HsiCube) -> float:
     return float(norms.mean() ** 2 / mean_sq)
 
 
-def bound_check(mu_true: ScalingField, clean_cube: HsiCube | None = None) -> float:
+def bound_check(mu_true: ScalingField, clean_cube: HsiCube) -> float:
     """Ceiling on the relative RMS hyperplane placement error.
 
     Evaluates sqrt((var - var * ratio) / N) with both variance extremes
     set to the realized variance of the true scale field, ratio the
-    pixel-norm concentration of the clean cube (1 when unavailable) and N
-    the length of the field. Shrinks as 1/sqrt(N); zero variance yields
-    zero.
+    pixel-norm concentration of the clean cube and N the length of the
+    field. Shrinks as 1/sqrt(N); zero variance yields zero.
     """
     var = float(np.var(mu_true.values))
     if var == 0.0:
         return 0.0
-    ratio = 1.0 if clean_cube is None else norm_concentration_ratio(clean_cube)
+    ratio = norm_concentration_ratio(clean_cube)
     return float(np.sqrt(max(var - var * ratio, 0.0) / len(mu_true)))
 
 

@@ -86,8 +86,9 @@ def _fix_row_signs(basis: np.ndarray, mean_pixel: np.ndarray) -> np.ndarray:
 def svd_reduce(cube: HsiCube, k: int) -> ReducedData:
     """Project the cube onto the top-k subspace of its uncentered pixel matrix.
 
-    Uses the L x L Gram matrix when the band count does not exceed the pixel
-    count (the common case), otherwise an economy SVD.
+    The top-k eigenpairs of the L x L Gram matrix ``y @ y.T`` are the
+    squared singular values and the left singular vectors of the pixel
+    matrix ``y``, whatever its shape.
     """
     y = cube.pixel_matrix()
     n_bands, n_pixels = y.shape
@@ -96,18 +97,11 @@ def svd_reduce(cube: HsiCube, k: int) -> ReducedData:
             f"k must satisfy 1 <= k <= min(bands={n_bands}, pixels={n_pixels}), got {k}"
         )
 
-    if n_bands <= n_pixels:
-        gram = y @ y.T
-        eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
-        order = np.arange(n_bands - 1, n_bands - 1 - k, -1)
-        svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
-        basis = eigvecs[:, order].T
-    else:
-        u, s, _ = np.linalg.svd(y, full_matrices=False)
-        svals = s[:k].copy()
-        basis = u[:, :k].T.copy()
-
-    svals[svals < RANK_TOL * max(svals[0], 0.0)] = 0.0
+    eigvals, eigvecs = np.linalg.eigh(y @ y.T)  # ascending
+    order = np.arange(n_bands - 1, n_bands - 1 - k, -1)
+    svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
+    basis = eigvecs[:, order].T
+    svals[svals < RANK_TOL * svals[0]] = 0.0
     basis = _fix_row_signs(basis, y.mean(axis=1))
     return ReducedData(basis=basis, pixels=basis @ y, singular_values=svals)
 

@@ -238,21 +238,7 @@ def gen_scene(config: SynthConfig) -> SynthScene:
         noise_std = np.sqrt(signal_power / 10.0 ** (config.snr_db / 10.0))
         scaled = HsiCube(np.clip(scaled.data + noise_std * rng.standard_normal(scaled.data.shape), 0.0, None))
 
-    scene = SynthScene(clean_cube=clean, scaled_cube=scaled, truth=truth, mu_true=mu)
-    if config.snr_db is None:
-        _check_scene(scene, config)
-    return scene
-
-
-def _check_scene(scene: SynthScene, config: SynthConfig) -> None:
-    expected = scene.clean_cube.pixel_matrix() * scene.mu_true.values[None, :]
-    if not np.array_equal(expected, scene.scaled_cube.pixel_matrix()):
-        raise ValidationError("scaled pixels must equal clean pixels times the scale field")
-    std = scene.mu_true.values.std()
-    if config.scale_std > 0 and abs(std - config.scale_std) > 0.05 * config.scale_std:
-        raise ValidationError(
-            f"scale field std {std:.4f} misses target {config.scale_std} by more than 5%"
-        )
+    return SynthScene(clean_cube=clean, scaled_cube=scaled, truth=truth, mu_true=mu)
 
 
 def write_scene(scene: SynthScene, config: SynthConfig, out_dir) -> None:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsiscale
 from hsiscale import HsiCube
 from hsiscale.cli import _hash_file, fnv1a64, main
 from hsiscale.fileio import read_matrix_csv, save_vector, write_cube, write_matrix_csv
@@ -208,6 +212,34 @@ def test_unmix_more_endmembers_than_bands_plus_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+# a signalling NaN as little-endian float32 bytes; casting it to float64
+# raises the floating-point invalid flag
+SIGNALLING_NAN = bytes.fromhex("2c0f87ff")
+
+
+@pytest.mark.parametrize("command, error", [("correct", "ValidationError"), ("eval", "NumericError")])
+def test_signalling_nan_payload_prints_one_error_line(tmp_path, command, error):
+    cube, mu = tmp_path / "cube.hsic", tmp_path / "mu.f32"
+    write_cube(HsiCube(np.full((3, 4, 4), 0.5)), cube)
+    save_vector(np.ones(16), mu)
+    bad = tmp_path / "bad"
+    bad.write_bytes((cube if command == "correct" else mu).read_bytes()[:-4] + SIGNALLING_NAN)
+    argv = {
+        "correct": ["correct", "--input", str(bad), "--endmembers", "2",
+                    "--out", str(tmp_path / "c.hsic"), "--mu-out", str(tmp_path / "mu_hat.f32")],
+        "eval": ["eval", "mu", "--pred", str(bad), "--truth", str(mu)],
+    }[command]
+    # a child process, because pytest records warnings instead of printing them
+    src = str(Path(hsiscale.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "hsiscale.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error[{error}]: "), result.stderr
+
+
 def test_eval_mu_self_is_zero(tmp_path, capsys):
     scene = synth(tmp_path)
     code = main([
@@ -320,18 +352,28 @@ def test_eval_manifest_hashes_every_file(tmp_path, capsys, case):
 
 
 EVAL_KEYS = {
-    # mode -> (argv given the scene, the keys printed in order, the number of --csv rows)
+    # case -> (mode, argv given the scene, the keys printed in order, the number of --csv rows)
     "mu": (
+        "mu",
         lambda scene: ["--pred", str(scene / "mu_true.f32"), "--truth", str(scene / "mu_true.f32")],
+        ["rmse_mu", "n_pixels", "sigma_max", "sigma_min"],
+        0,
+    ),
+    "mu-clean-cube": (
+        "mu",
+        lambda scene: ["--pred", str(scene / "mu_true.f32"), "--truth", str(scene / "mu_true.f32"),
+                       "--clean-cube", str(scene / "clean.hsic")],
         ["rmse_mu", "bound_rhs", "n_pixels", "sigma_max", "sigma_min"],
         0,
     ),
     "abundance": (
+        "abundance",
         lambda scene: ["--pred", str(scene / "abundances.csv"), "--truth", str(scene / "abundances.csv")],
         ["abundance_rmse_total", "abundance_rmse_per_endmember", "n_pixels"],
         3,
     ),
     "endmembers": (
+        "endmembers",
         lambda scene: ["--pred", str(scene / "endmembers.csv"), "--truth", str(scene / "endmembers.csv")],
         ["sad_mean", "sad_per_endmember"],
         3,
@@ -339,10 +381,10 @@ EVAL_KEYS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(EVAL_KEYS))
-def test_eval_prints_the_keys_of_its_mode(tmp_path, capsys, mode):
+@pytest.mark.parametrize("case", sorted(EVAL_KEYS))
+def test_eval_prints_the_keys_of_its_mode(tmp_path, capsys, case):
     scene = synth(tmp_path)
-    argv, keys, n_rows = EVAL_KEYS[mode]
+    mode, argv, keys, n_rows = EVAL_KEYS[case]
     capsys.readouterr()
     csv = tmp_path / "per.csv"
     assert main(["eval", mode, *argv(scene), "--csv", str(csv)]) == 0

@@ -168,13 +168,18 @@ def psi_reference(evaluator, normals):
 
 
 def kernel_case(n_random):
-    """Evaluator and normals covering invalid rows and clamps of every sign."""
+    """Evaluator and normals covering invalid rows, clamps of every sign and
+    the unclamped boundary."""
     rng = np.random.default_rng(21)
     pixels = rng.standard_normal((3, 500)) + np.array([[3.0], [0.5], [0.0]])
-    # under the normal e1 these pixels give s = 0, a tiny negative and a tiny positive s
-    pixels[:, :3] = [[0.0, -1e-4, 1e-4], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
+    # under the normal e1 these pixels give s = 0, a tiny negative, a tiny
+    # positive and a subnormal negative s, whose reciprocal overflows
+    pixels[:, :4] = [[0.0, -1e-4, 1e-4, -1e-310], [1.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 1.0]]
+    c_star = mean_point(simple_reduced(pixels.copy()))
+    # under e1 these two give ratios of exactly -MU_FLOOR and +MU_FLOOR, which
+    # stay unclamped; c_star stays the mean from before this edit
+    pixels[0, 4:6] = [-MU_FLOOR * c_star[0], MU_FLOOR * c_star[0]]
     reduced = simple_reduced(pixels)
-    c_star = mean_point(reduced)
     orthogonal = np.cross(c_star, [0.0, 0.0, 1.0])
     # under (-1, 0, 0) the first pixel has s = +0 over a negative d: mu = -0.0
     special = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], orthogonal, -orthogonal])
@@ -199,7 +204,8 @@ def test_psi_batch_matches_unfused_reference(monkeypatch, block_rows, n_random):
     values = evaluator.batch(normals)
     assert np.isinf(values[2:4]).all() and np.isfinite(values[:2]).all()
     mu = (normals[0] @ evaluator.pixels) / float(normals[0] @ evaluator.c_star)
-    assert np.count_nonzero(np.abs(mu) < MU_FLOOR) == 3
+    assert np.count_nonzero(np.abs(mu) < MU_FLOOR) == 4
+    assert np.array_equal(mu[4:6], [-MU_FLOOR, MU_FLOOR])
 
 
 def test_psi_batch_clamps_zero_ratio_to_positive_floor(worked_reduced):
@@ -230,6 +236,19 @@ def test_psi_batch_scratch_is_bounded():
 
 
 # --------------------------------------------------------------- gradient
+
+def test_gradient_ignores_clamped_pixels():
+    # the clamped pixels' residual is constant in the normal, so dropping
+    # them must leave the gradient as it is
+    evaluator, normals = kernel_case(0)
+    for n in normals[:2]:  # e1 and -e1
+        unclamped = np.abs((n @ evaluator.pixels) / float(n @ evaluator.c_star)) >= MU_FLOOR
+        assert np.count_nonzero(~unclamped) == 4
+        reference = _PsiEvaluator(simple_reduced(evaluator.pixels[:, unclamped]), evaluator.c_star)
+        # relative to the whole vector: a component can cancel to rounding noise
+        got, want = evaluator.gradient(n), reference.gradient(n)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 def test_gradient_matches_finite_differences():
     h = 1e-6

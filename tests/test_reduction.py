@@ -41,12 +41,19 @@ def test_basis_orthonormality_random_cubes():
 
 
 def test_reduce_matches_tall_matrix_path():
-    # more bands than pixels exercises the economy-SVD branch
+    # more bands than pixels: the Gram matrix is L x L with rank at most N
     rng = np.random.default_rng(7)
     cube = HsiCube(rng.uniform(0.0, 1.0, (30, 2, 3)))
     reduced = svd_reduce(cube, 3)
     oracle = np.linalg.svd(cube.pixel_matrix(), compute_uv=False)
     assert np.allclose(reduced.singular_values, oracle[:3], rtol=1e-10)
+
+    # rank 2 at k = 3: the third direction spans no data, yet the basis holds
+    rank_two = make_rank_k_cube(bands=30, height=2, width=3, k=2, seed=7)
+    reduced = svd_reduce(rank_two, 3)
+    assert np.max(np.abs(reduced.basis @ reduced.basis.T - np.eye(3))) < 1e-8
+    sigma = reduced.singular_values
+    assert sigma[2] <= 1e-6 * sigma[0]
 
 
 def test_reconstruct_trivial_cases():
