@@ -12,6 +12,7 @@ from .correct import (
     estimate_scaling,
     gd_refine,
     mean_point,
+    newton_refine,
     objective_psi,
     pso_minimize,
     run_correction,

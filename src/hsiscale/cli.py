@@ -151,11 +151,12 @@ def cmd_correct(args) -> int:
             f"pixels={cube.n_pixels})"
         )
 
+    # without --gd-iters the search ends in run_correction's Newton polish
     corrected, report = run_correction(
         cube,
         args.endmembers,
         pso_config=swarm_config(args.candidates, args.seed, args.pso_iters),
-        gd_config=GdConfig(max_iters=args.gd_iters),
+        gd_config=None if args.gd_iters is None else GdConfig(max_iters=args.gd_iters),
         candidate_count=args.candidates,
         rng_seed=args.seed,
     )
@@ -393,10 +394,10 @@ def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale-corr-len", type=float, default=6.0, dest="scale_corr_len")
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
+def _add_optimizer_flags(parser: argparse.ArgumentParser, pso_iters: int, gd_iters: int | None) -> None:
     parser.add_argument("--candidates", type=int, default=200)
-    parser.add_argument("--pso-iters", type=int, default=150, dest="pso_iters")
-    parser.add_argument("--gd-iters", type=int, default=500, dest="gd_iters")
+    parser.add_argument("--pso-iters", type=int, default=pso_iters, dest="pso_iters")
+    parser.add_argument("--gd-iters", type=int, default=gd_iters, dest="gd_iters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-out", required=True, dest="mu_out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
-    _add_optimizer_flags(p)
+    _add_optimizer_flags(p, PsoConfig.iterations, None)
     _add_common(p)
     p.set_defaults(func=cmd_correct)
 
@@ -454,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", default=None, dest="plot_data")
-    _add_optimizer_flags(p)
+    # criterion 4 measures the variants at these lengths
+    _add_optimizer_flags(p, 150, GdConfig.max_iters)
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", default=None, dest="plot_data")
     _add_scene_flags(p)
     p.add_argument("--candidates", type=int, default=200)
-    p.add_argument("--pso-iters", type=int, default=150, dest="pso_iters")
+    p.add_argument("--pso-iters", type=int, default=PsoConfig.iterations, dest="pso_iters")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -9,8 +9,10 @@ divides it out:
 1. reduce the cube to the K-dimensional dominant subspace,
 2. anchor the hyperplane at the mean reduced pixel,
 3. seed a swarm with candidate normals solved from random pixel K-sets,
-4. globally minimize the projection residual with PSO,
-5. polish with projected gradient descent on the unit sphere,
+4. locate the basin of the projection residual's minimum with a short
+   PSO run,
+5. polish with damped Newton steps on the unit sphere (projected gradient
+   descent instead, when the caller configures it),
 6. divide every original pixel by its estimated factor.
 
 The residual objective is scale- and sign-invariant in the normal, so all
@@ -63,6 +65,15 @@ _GD_BACKTRACK = 0.5
 _GD_GRAD_TOL = 1e-10
 _GD_STEP_TOL = 1e-14
 _ARMIJO_C = 1e-4
+# Newton polish: step cap, the first Marquardt damping (relative to the
+# largest tangent Hessian diagonal), its factor on every accepted (divide)
+# or failed (multiply) step, the damping past which no step is taken, and
+# the relative psi drop below which the polish stops
+_NEWTON_MAX_STEPS = 50
+_NEWTON_DAMPING_INITIAL = 1e-3
+_NEWTON_DAMPING_FACTOR = 10.0
+_NEWTON_DAMPING_MAX = 1e12
+_NEWTON_REL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -154,10 +165,14 @@ class ScalingField:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm search size, length and seed; the weights are module constants."""
+    """Swarm search size, length and seed; the weights are module constants.
+
+    The default length only has to find the basin of the minimum: the
+    Newton polish that follows closes the last gap in a few steps.
+    """
 
     swarm_size: int = 64
-    iterations: int = 150
+    iterations: int = 30
     seed: int = 0
 
     def __post_init__(self):
@@ -169,7 +184,8 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Projected-gradient refinement iteration cap."""
+    """Iteration cap of the projected-gradient polish, which runs in place
+    of the Newton polish when a caller passes this config."""
 
     max_iters: int = 500
 
@@ -320,6 +336,33 @@ class _PsiEvaluator:
         t[active] = w[active] * d / s_act**2
         grad = 2.0 * (self.pixels @ t - float((w[active] / s_act).sum()) * self.c_star)
         return grad
+
+    def newton_system(self, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euclidean gradient and Hessian of the objective at ``normal``.
+
+        With u_j = d / s_j, d = c* . n and s_j = p_j . n, the objective is
+        sum_j w_j (1 - u_j)^2, so the gradient is -2 sum w (1 - u) du and
+        the Hessian is 2 sum w du du^T - 2 sum w (1 - u) d2u, where
+        du = c*/s - d p/s^2 and d2u = 2d p p^T/s^3 - (c* p^T + p c*^T)/s^2.
+        Clamped pixels drop out, as in ``gradient``. O(N K^2).
+        """
+        d = float(self.c_star @ normal)
+        if abs(d) < self.denom_floor:
+            raise NearOrthogonalNormalError("cannot differentiate at an orthogonal normal")
+        s = normal @ self.pixels
+        active = np.abs(s / d) >= MU_FLOOR
+        p, s, w = self.pixels[:, active], s[active], self.sq_norms[active]
+        a = w * (1.0 - d / s)                           # w (1 - u)
+        du = self.c_star[:, None] / s - d * p / s**2    # K x N_active
+        grad = -2.0 * (du @ a)
+        v = p @ (a / s**2)
+        hess = 2.0 * (
+            (du * w) @ du.T
+            + np.outer(self.c_star, v)
+            + np.outer(v, self.c_star)
+            - (p * (2.0 * d * a / s**3)) @ p.T
+        )
+        return grad, hess
 
 
 @functools.lru_cache(maxsize=8)
@@ -506,6 +549,73 @@ def gd_refine(
     return n
 
 
+def _tangent_basis(normal: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of a unit normal, as K x (K-1) columns.
+
+    The columns are those of the Householder reflection that maps e1 onto
+    the normal's line, less the first.
+    """
+    v = normal.copy()
+    v[0] += math.copysign(1.0, normal[0])
+    reflection = np.eye(normal.size) - (2.0 / float(v @ v)) * np.outer(v, v)
+    return reflection[:, 1:]
+
+
+def newton_refine(start_normal: np.ndarray, reduced: ReducedData, c_star: np.ndarray) -> np.ndarray:
+    """Polish a normal by damped Riemannian Newton steps on the unit sphere.
+
+    The objective is homogeneous of degree 0 in the normal, so its gradient
+    is orthogonal to the normal and the Riemannian Hessian is the Euclidean
+    one restricted to the tangent space (Absil, Mahony & Sepulchre 2008,
+    ch. 6). Each step solves (U^T H U + lambda scale I) delta = -U^T g, U a
+    tangent basis and scale the largest diagonal of U^T H U, and moves to
+    the normalized n + U delta. A step is kept only if the objective drops,
+    and then lambda shrinks; a failed Cholesky factorization or a rejected
+    step grows it (Marquardt 1963). The result never scores worse than the
+    start, which comes back as given for K = 1 or off the objective's
+    domain. Only a zero or misshaped start raises.
+    """
+    if reduced.k == 1:
+        return start_normal
+    n = np.asarray(start_normal, dtype=np.float64)
+    norm = np.linalg.norm(n)
+    if norm == 0 or n.shape != (reduced.k,):
+        raise ValidationError("start normal must be a nonzero K-vector")
+    n = n / norm
+    evaluator = _PsiEvaluator(reduced, c_star)
+    psi = evaluator.value(n)
+    if not math.isfinite(psi):
+        return start_normal
+    damping = _NEWTON_DAMPING_INITIAL
+    for _ in range(_NEWTON_MAX_STEPS):
+        grad, hess = evaluator.newton_system(n)
+        basis = _tangent_basis(n)
+        g = basis.T @ grad
+        h = basis.T @ hess @ basis
+        scale = float(np.max(np.abs(np.diag(h)))) or 1.0
+        while damping <= _NEWTON_DAMPING_MAX:
+            try:
+                lower = np.linalg.cholesky(h + damping * scale * np.eye(h.shape[0]))
+                delta = -np.linalg.solve(lower.T, np.linalg.solve(lower, g))
+            except np.linalg.LinAlgError:
+                damping *= _NEWTON_DAMPING_FACTOR
+                continue
+            cand = n + basis @ delta
+            cand /= np.linalg.norm(cand)
+            psi_cand = evaluator.value(cand)  # +inf for an orthogonal candidate
+            if psi_cand < psi:
+                break
+            damping *= _NEWTON_DAMPING_FACTOR
+        else:
+            break  # no damping lowers the objective
+        drop = psi - psi_cand
+        n, psi = cand, psi_cand
+        damping /= _NEWTON_DAMPING_FACTOR
+        if drop <= _NEWTON_REL_TOL * psi:
+            break
+    return n
+
+
 def estimate_scaling(reduced: ReducedData, model: HyperplaneModel) -> ScalingField:
     """Per-pixel scale factors from the ray/hyperplane intersection.
 
@@ -542,11 +652,13 @@ def search_normal(
     pso_config: PsoConfig | None,
     gd_config: GdConfig | None,
 ) -> tuple[tuple[np.ndarray, float], ...]:
-    """The normal search: best start, then swarm, then refinement.
+    """The normal search: best start, then swarm, then polish.
 
-    Returns the ``(normal, psi)`` after each of the three stages. A stage
-    whose config is None is skipped and repeats the previous point; a stage
-    that fails to improve falls back to the previous point, so psi never
+    Returns the ``(normal, psi)`` after each of the three stages. The swarm
+    is skipped and repeats the previous point when ``pso_config`` is None.
+    The polish is projected gradient descent when given a ``GdConfig`` and
+    the Newton polish (``newton_refine``) when given None. A stage that
+    fails to improve falls back to the previous point, so psi never
     increases. Every psi goes through the same evaluation path.
     """
     evaluator = _PsiEvaluator(reduced, c_star)
@@ -561,9 +673,12 @@ def search_normal(
     stages.append(
         stages[-1] if pso_config is None else no_worse(pso_minimize(reduced, c_star, starts, pso_config))
     )
-    stages.append(
-        stages[-1] if gd_config is None else no_worse(gd_refine(stages[-1][0], reduced, c_star, gd_config))
-    )
+    start = stages[-1][0]
+    stages.append(no_worse(
+        newton_refine(start, reduced, c_star)
+        if gd_config is None
+        else gd_refine(start, reduced, c_star, gd_config)
+    ))
     return tuple(stages)
 
 
@@ -580,7 +695,9 @@ def run_correction(
     Deterministic given the seed. With ``k == 1`` the hyperplane collapses
     to a point and the correction degenerates to dividing each pixel by
     its magnitude ratio against the mean; the search then has the one
-    normal and skips both stages, and the report flags this mode.
+    normal, which neither the swarm nor the polish moves, and the report
+    flags this mode. Without configs the search is a ``swarm_config``
+    swarm followed by the Newton polish.
     """
     reduced = svd_reduce(cube, k)
     c_star = mean_point(reduced)
@@ -590,8 +707,6 @@ def run_correction(
         starts = candidate_normals(reduced, candidate_count, derive_seeds(rng_seed)[0])
         if pso_config is None:
             pso_config = swarm_config(candidate_count, rng_seed)
-        if gd_config is None:
-            gd_config = GdConfig()
 
     (_, psi_initial), (_, psi_after_pso), (normal, psi_final) = search_normal(
         reduced, c_star, starts, pso_config, gd_config

@@ -12,7 +12,8 @@ import pytest
 import hsiscale
 from hsiscale import HsiCube
 from hsiscale.cli import _hash_file, fnv1a64, main
-from hsiscale.fileio import read_matrix_csv, save_vector, write_cube, write_matrix_csv
+from hsiscale.correct import GdConfig, run_correction, swarm_config
+from hsiscale.fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
 
 
 SCENE_FLAGS = [
@@ -128,6 +129,43 @@ def test_correct_roundtrip_and_determinism(tmp_path, capsys):
     assert report["psi_final"] <= report["psi_after_pso"] <= report["psi_initial"]
     assert len(report["normal"]) == 3 and len(report["c_star"]) == 3
     assert report["seed"] == 3
+
+
+def correct_with_cli(tmp_path, scene, flags):
+    out, mu = tmp_path / "c.hsic", tmp_path / "mu.f32"
+    assert main([
+        "correct", "--input", str(scene / "scaled.hsic"), "--endmembers", "3",
+        "--out", str(out), "--mu-out", str(mu), *flags,
+    ]) == 0
+    report = json.loads((tmp_path / "c.hsic.report.json").read_text())
+    return report, load_vector(mu)
+
+
+def assert_same_correction(cli_result, library_report):
+    report, mu = cli_result
+    psi = (library_report.psi_initial, library_report.psi_after_pso, library_report.psi_final)
+    assert (report["psi_initial"], report["psi_after_pso"], report["psi_final"]) == psi
+    assert np.array_equal(mu, library_report.mu_hat.values.astype(np.float32))
+
+
+def test_correct_defaults_are_the_library_defaults(tmp_path):
+    scene = synth(tmp_path)
+    cli_result = correct_with_cli(tmp_path, scene, ["--seed", "3"])
+    _, report = run_correction(read_cube(scene / "scaled.hsic"), 3, rng_seed=3)
+    assert_same_correction(cli_result, report)
+
+
+def test_correct_explicit_search_is_swarm_then_gd(tmp_path):
+    # the benchmark walkthrough's light search: its answer must not move
+    scene = synth(tmp_path)
+    cli_result = correct_with_cli(
+        tmp_path, scene, ["--candidates", "64", "--pso-iters", "20", "--gd-iters", "50", "--seed", "7"]
+    )
+    _, report = run_correction(
+        read_cube(scene / "scaled.hsic"), 3,
+        pso_config=swarm_config(64, 7, 20), gd_config=GdConfig(50), candidate_count=64, rng_seed=7,
+    )
+    assert_same_correction(cli_result, report)
 
 
 def test_correct_k_too_large_usage_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from hsiscale import (
     estimate_scaling,
     gd_refine,
     mean_point,
+    newton_refine,
     objective_psi,
     pso_minimize,
     run_correction,
@@ -273,6 +274,108 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+def plane_data(k, n_pixels, seed):
+    """Noise-free K-endmember data, scaled pixel-wise, in identity coordinates."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 1.0, (k, k)) + np.eye(k)
+    abundances = rng.dirichlet(np.ones(k), n_pixels).T
+    mu = np.clip(1.0 + 0.3 * rng.standard_normal(n_pixels), 0.2, None)
+    return simple_reduced((m @ abundances) * (mu / mu.mean()))
+
+
+def test_newton_hessian_matches_finite_differences():
+    # central differences of the analytic gradient, as criterion 6d checks
+    # the gradient against differences of the objective
+    h = 1e-6
+    worst = 0.0
+    for seed in range(20):
+        k = 2 + seed % 3
+        reduced = plane_data(k, 64, seed)
+        c_star = mean_point(reduced)
+        evaluator = _PsiEvaluator(reduced, c_star)
+        n = np.random.default_rng(seed + 1000).standard_normal(k) + c_star / np.linalg.norm(c_star)
+        n /= np.linalg.norm(n)
+        grad, hess = evaluator.newton_system(n)
+        np.testing.assert_allclose(grad, evaluator.gradient(n), rtol=1e-10, atol=0.0)
+        fd = np.empty_like(hess)
+        for i in range(k):
+            e = np.zeros(k)
+            e[i] = h
+            fd[:, i] = (evaluator.gradient(n + e) - evaluator.gradient(n - e)) / (2.0 * h)
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=0.0)
+        worst = max(worst, float(np.max(np.abs(hess - fd)) / np.max(np.abs(fd))))
+    assert worst < 1e-4
+
+
+def test_newton_system_ignores_clamped_pixels():
+    evaluator, normals = kernel_case(0)
+    for n in normals[:2]:  # e1 and -e1
+        unclamped = np.abs((n @ evaluator.pixels) / float(n @ evaluator.c_star)) >= MU_FLOOR
+        assert np.count_nonzero(~unclamped) == 4
+        reference = _PsiEvaluator(simple_reduced(evaluator.pixels[:, unclamped]), evaluator.c_star)
+        for got, want in zip(evaluator.newton_system(n), reference.newton_system(n)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_newton_system_orthogonal_normal_raises():
+    evaluator, normals = kernel_case(0)
+    with pytest.raises(NearOrthogonalNormalError):
+        evaluator.newton_system(normals[2])
+
+
+def test_newton_never_increases_objective_and_is_deterministic():
+    for seed in range(3):
+        reduced = plane_data(4, 200, seed + 40)
+        c_star = mean_point(reduced)
+        evaluator = _PsiEvaluator(reduced, c_star)
+        starts = list(np.random.default_rng(seed).standard_normal((8, 4)))
+        starts += candidate_normals(reduced, 4, rng_seed=seed)
+        for start in starts:
+            out = newton_refine(start, reduced, c_star)
+            assert np.array_equal(out, newton_refine(start, reduced, c_star))
+            assert evaluator.value(out) <= evaluator.value(start / np.linalg.norm(start))
+
+
+def test_newton_converges_to_grid_optimum():
+    reduced, _, _ = make_line_data(n_pixels=400, mu_std=0.3, seed=9)
+    c_star = mean_point(reduced)
+    psi_grid, theta_star = grid_search_psi(reduced, c_star)
+    start = np.array([math.cos(theta_star + 0.05), math.sin(theta_star + 0.05)])
+    out = newton_refine(start, reduced, c_star)
+    assert abs(objective_psi(out, reduced, c_star) - psi_grid) / psi_grid < 1e-9
+
+
+def test_newton_k1_returns_start():
+    reduced = simple_reduced(np.array([[1.0, 2.0, 0.5]]))
+    start = np.ones(1)
+    assert newton_refine(start, reduced, mean_point(reduced)) is start
+
+
+def test_newton_rejects_zero_start():
+    reduced = plane_data(3, 20, 0)
+    with pytest.raises(ValidationError):
+        newton_refine(np.zeros(3), reduced, mean_point(reduced))
+
+
+def test_newton_rank_deficient_cloud_raises_nothing():
+    # K = 3 coordinates, but the pixels span two: the objective is flat
+    # along e3 and the tangent Hessian is singular there
+    reduced2, _, _ = make_line_data(n_pixels=64, mu_std=0.3, seed=27)
+    flat = simple_reduced(np.vstack([reduced2.pixels, np.zeros(64)]))
+    # every pixel equal: the objective is zero at almost every normal
+    same = simple_reduced(np.tile([[1.0], [2.0], [0.5]], (1, 16)))
+    for reduced in (flat, same):
+        c_star = mean_point(reduced)
+        evaluator = _PsiEvaluator(reduced, c_star)
+        orthogonal = np.cross(c_star, [0.0, 0.0, 1.0] if reduced is same else [1.0, 0.0, 0.0])
+        rng = np.random.default_rng(28)
+        for start in [np.array([0.3, 0.4, 0.87]), orthogonal, *rng.standard_normal((5, 3))]:
+            out = newton_refine(start, reduced, c_star)
+            before = evaluator.value(start / np.linalg.norm(start))
+            assert evaluator.value(out) <= before
+        assert newton_refine(orthogonal, reduced, c_star) is orthogonal
+
+
 # --------------------------------------------------------------------- gd
 
 def test_gd_returns_stationary_start():
@@ -493,9 +596,13 @@ def test_search_without_stages_returns_best_start():
     best = int(np.argmin([evaluator.value(n) for n in starts]))
     stages = search_normal(reduced, c_star, starts, None, None)
     assert len(stages) == 3
-    for normal, psi in stages:
+    for normal, psi in stages[:2]:
         assert normal is starts[best]
         assert psi == evaluator.value(starts[best])
+    # without a GdConfig the polish is the Newton one, never above its start
+    normal, psi = stages[2]
+    assert psi <= stages[1][1]
+    assert psi == evaluator.value(normal)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -507,7 +614,7 @@ def test_search_swarm_never_reports_above_best_start(seed):
     (_, psi_start), (normal, psi_swarm), (_, psi_final) = search_normal(
         reduced, c_star, starts, config, None
     )
-    assert psi_final == psi_swarm <= psi_start
+    assert psi_final <= psi_swarm <= psi_start
     assert psi_swarm == _PsiEvaluator(reduced, c_star).value(normal)
 
 
@@ -523,6 +630,17 @@ def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
     best = starts[int(np.argmin(values))]
     assert max(values) > min(values)
     assert all(normal is best and psi == min(values) for normal, psi in stages)
+
+
+def test_search_falls_back_when_the_newton_polish_does_worse(monkeypatch):
+    reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
+    c_star = mean_point(reduced)
+    starts = candidate_normals(reduced, 6, rng_seed=26)
+    values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
+    worst = starts[int(np.argmax(values))]
+    monkeypatch.setattr(correct_module, "newton_refine", lambda *args: worst)
+    stages = search_normal(reduced, c_star, starts, None, None)
+    assert stages[2][0] is stages[1][0] and stages[2][1] == stages[1][1]
 
 
 def test_run_correction_reports_the_search_stages():
