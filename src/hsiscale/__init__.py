@@ -30,7 +30,7 @@ from .errors import (
     OptimizationError,
     ValidationError,
 )
-from .fileio import load_matrix, load_vector, read_cube, save_matrix, save_vector, write_cube
+from .fileio import load_vector, read_cube, save_vector, write_cube
 from .metrics import (
     abundance_rmse,
     bound_check,
@@ -39,7 +39,7 @@ from .metrics import (
     rmse_mu,
     sad_error,
 )
-from .reduction import ReducedData, reconstruct, svd_reduce
+from .reduction import ReducedData, svd_reduce
 from .synth import SynthConfig, SynthScene, gen_abundance_field, gen_endmembers, gen_scaling_field, gen_scene, write_scene
 from .unmix import UnmixResult, fcls, nfindr_extract, unmix
 

@@ -11,12 +11,14 @@ divides it out:
 3. seed a swarm with candidate normals solved from random pixel K-sets,
 4. locate the basin of the projection residual's minimum with a short
    PSO run,
-5. polish with damped Newton steps on the unit sphere (projected gradient
-   descent instead, when the caller configures it),
+5. polish with damped Newton steps in the affine chart c* . m = 1 of the
+   anchor (projected gradient descent on the unit sphere instead, when the
+   caller configures it),
 6. divide every original pixel by its estimated factor.
 
-The residual objective is scale- and sign-invariant in the normal, so all
-searches operate on the unit sphere.
+The residual objective is scale- and sign-invariant in the normal, so the
+swarm and gradient descent search the unit sphere and the Newton polish
+the affine chart.
 """
 
 from __future__ import annotations
@@ -318,51 +320,34 @@ class _PsiEvaluator:
             out[r] = s @ self.sq_norms
         return out
 
+    def chart_system(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the objective in the anchor's affine chart.
+
+        On the chart c* . m = 1 the scale ratios are mu_j = p_j . m, so the
+        objective is sum_j w_j (1 - 1/mu_j)^2, its gradient is
+        2 sum w (1 - 1/mu) p / mu^2 and its Hessian 2 sum w (3 - 2 mu) p p^T / mu^4.
+        Any ``m`` stands for its chart point m / (c* . m). Clamped pixels
+        drop out: their residual is locally constant, so their 1/mu is
+        taken as zero. O(N K^2).
+        """
+        mu = (m @ self.pixels) / float(self.c_star @ m)
+        inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=np.abs(mu) >= MU_FLOOR)
+        a = self.sq_norms * inv**2
+        grad = 2.0 * (self.pixels @ (a * (1.0 - inv)))
+        hess = 2.0 * (self.pixels * (a * inv**2 * (3.0 - 2.0 * mu))) @ self.pixels.T
+        return grad, hess
+
     def gradient(self, normal: np.ndarray) -> np.ndarray:
         """Euclidean gradient of the objective at ``normal``.
 
-        Clamped pixels contribute nothing: their residual is locally
-        constant in the normal.
+        The chart gradient g at m = n / d, d = c* . n, pulled back through
+        the chart map: (g - (m . g) c*) / d.
         """
         d = float(self.c_star @ normal)
         if abs(d) < self.denom_floor:
             raise NearOrthogonalNormalError("cannot differentiate at an orthogonal normal")
-        s = normal @ self.pixels
-        active = np.abs(s / d) >= MU_FLOOR
-        s_act = s[active]  # |s| >= MU_FLOOR * |d| > 0 on unclamped pixels
-        w = np.zeros_like(s)
-        w[active] = self.sq_norms[active] * (1.0 - d / s_act)
-        t = np.zeros_like(s)
-        t[active] = w[active] * d / s_act**2
-        grad = 2.0 * (self.pixels @ t - float((w[active] / s_act).sum()) * self.c_star)
-        return grad
-
-    def newton_system(self, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Euclidean gradient and Hessian of the objective at ``normal``.
-
-        With u_j = d / s_j, d = c* . n and s_j = p_j . n, the objective is
-        sum_j w_j (1 - u_j)^2, so the gradient is -2 sum w (1 - u) du and
-        the Hessian is 2 sum w du du^T - 2 sum w (1 - u) d2u, where
-        du = c*/s - d p/s^2 and d2u = 2d p p^T/s^3 - (c* p^T + p c*^T)/s^2.
-        Clamped pixels drop out, as in ``gradient``. O(N K^2).
-        """
-        d = float(self.c_star @ normal)
-        if abs(d) < self.denom_floor:
-            raise NearOrthogonalNormalError("cannot differentiate at an orthogonal normal")
-        s = normal @ self.pixels
-        active = np.abs(s / d) >= MU_FLOOR
-        p, s, w = self.pixels[:, active], s[active], self.sq_norms[active]
-        a = w * (1.0 - d / s)                           # w (1 - u)
-        du = self.c_star[:, None] / s - d * p / s**2    # K x N_active
-        grad = -2.0 * (du @ a)
-        v = p @ (a / s**2)
-        hess = 2.0 * (
-            (du * w) @ du.T
-            + np.outer(self.c_star, v)
-            + np.outer(v, self.c_star)
-            - (p * (2.0 * d * a / s**3)) @ p.T
-        )
-        return grad, hess
+        g, _ = self.chart_system(normal)
+        return (g - float(normal @ g) / d * self.c_star) / d
 
 
 @functools.lru_cache(maxsize=8)
@@ -562,18 +547,18 @@ def _tangent_basis(normal: np.ndarray) -> np.ndarray:
 
 
 def newton_refine(start_normal: np.ndarray, reduced: ReducedData, c_star: np.ndarray) -> np.ndarray:
-    """Polish a normal by damped Riemannian Newton steps on the unit sphere.
+    """Polish a normal by damped Newton steps in the anchor's affine chart.
 
-    The objective is homogeneous of degree 0 in the normal, so its gradient
-    is orthogonal to the normal and the Riemannian Hessian is the Euclidean
-    one restricted to the tangent space (Absil, Mahony & Sepulchre 2008,
-    ch. 6). Each step solves (U^T H U + lambda scale I) delta = -U^T g, U a
-    tangent basis and scale the largest diagonal of U^T H U, and moves to
-    the normalized n + U delta. A step is kept only if the objective drops,
-    and then lambda shrinks; a failed Cholesky factorization or a rejected
-    step grows it (Marquardt 1963). The result never scores worse than the
-    start, which comes back as given for K = 1 or off the objective's
-    domain. Only a zero or misshaped start raises.
+    The objective depends only on the hyperplane, not on the normal's
+    length, so it is minimized over the chart c* . m = 1, whose points are
+    m + U delta, U an orthonormal basis of the complement of c*. Each step
+    solves (U^T H U + lambda scale I) delta = -U^T g, g and H the chart
+    derivatives and scale the largest diagonal of U^T H U. A step is kept
+    only if the objective at the normalized point drops, and then lambda
+    shrinks; a failed Cholesky factorization or a rejected step grows it
+    (Marquardt 1963). The result never scores worse than the start, which
+    comes back as given for K = 1 or off the objective's domain. Only a
+    zero or misshaped start raises.
     """
     if reduced.k == 1:
         return start_normal
@@ -586,10 +571,11 @@ def newton_refine(start_normal: np.ndarray, reduced: ReducedData, c_star: np.nda
     psi = evaluator.value(n)
     if not math.isfinite(psi):
         return start_normal
+    m = n / float(evaluator.c_star @ n)
+    basis = _tangent_basis(evaluator.c_star / np.linalg.norm(evaluator.c_star))
     damping = _NEWTON_DAMPING_INITIAL
     for _ in range(_NEWTON_MAX_STEPS):
-        grad, hess = evaluator.newton_system(n)
-        basis = _tangent_basis(n)
+        grad, hess = evaluator.chart_system(m)
         g = basis.T @ grad
         h = basis.T @ hess @ basis
         scale = float(np.max(np.abs(np.diag(h)))) or 1.0
@@ -600,16 +586,16 @@ def newton_refine(start_normal: np.ndarray, reduced: ReducedData, c_star: np.nda
             except np.linalg.LinAlgError:
                 damping *= _NEWTON_DAMPING_FACTOR
                 continue
-            cand = n + basis @ delta
-            cand /= np.linalg.norm(cand)
-            psi_cand = evaluator.value(cand)  # +inf for an orthogonal candidate
+            cand = m + basis @ delta
+            cand_n = cand / np.linalg.norm(cand)
+            psi_cand = evaluator.value(cand_n)  # +inf for an orthogonal candidate
             if psi_cand < psi:
                 break
             damping *= _NEWTON_DAMPING_FACTOR
         else:
             break  # no damping lowers the objective
         drop = psi - psi_cand
-        n, psi = cand, psi_cand
+        m, n, psi = cand, cand_n, psi_cand
         damping /= _NEWTON_DAMPING_FACTOR
         if drop <= _NEWTON_REL_TOL * psi:
             break

@@ -60,10 +60,6 @@ class HsiCube:
         """Return the (L, N) view with pixel columns in raster order."""
         return self.data.reshape(self.bands, self.n_pixels)
 
-    def pixel(self, row: int, col: int) -> np.ndarray:
-        """The L-vector across bands at a fixed grid position."""
-        return self.data[:, row, col]
-
     @staticmethod
     def from_pixel_matrix(matrix: np.ndarray, height: int, width: int) -> "HsiCube":
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -112,11 +108,3 @@ class GroundTruth:
         a.setflags(write=False)
         object.__setattr__(self, "endmembers", m)
         object.__setattr__(self, "abundances", a)
-
-    @property
-    def n_endmembers(self) -> int:
-        return self.endmembers.shape[1]
-
-    @property
-    def n_pixels(self) -> int:
-        return self.abundances.shape[1]

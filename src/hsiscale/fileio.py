@@ -117,29 +117,17 @@ def read_matrix_f32(path) -> np.ndarray:
         return np.frombuffer(raw, dtype="<f4", offset=8).astype(np.float64).reshape(rows, cols)
 
 
-def save_matrix(matrix: np.ndarray, path) -> None:
-    """Write a matrix, choosing CSV or raw float32 from the extension."""
-    if str(path).endswith(".csv"):
-        write_matrix_csv(matrix, path)
-    else:
-        write_matrix_f32(matrix, path)
-
-
-def load_matrix(path) -> np.ndarray:
-    if str(path).endswith(".csv"):
-        return read_matrix_csv(path)
-    return read_matrix_f32(path)
-
-
 def save_vector(values: np.ndarray, path) -> None:
+    """Write a vector as a one-column matrix, CSV or raw float32 by the extension."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {values.shape}")
-    save_matrix(values.reshape(-1, 1), path)
+    write = write_matrix_csv if str(path).endswith(".csv") else write_matrix_f32
+    write(values.reshape(-1, 1), path)
 
 
 def load_vector(path) -> np.ndarray:
-    matrix = load_matrix(path)
+    matrix = read_matrix_csv(path) if str(path).endswith(".csv") else read_matrix_f32(path)
     if 1 not in matrix.shape:
         raise DimensionError(f"expected a vector-shaped matrix, got {matrix.shape}")
     return matrix.reshape(-1)

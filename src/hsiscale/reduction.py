@@ -104,8 +104,3 @@ def svd_reduce(cube: HsiCube, k: int) -> ReducedData:
     svals[svals < RANK_TOL * svals[0]] = 0.0
     basis = _fix_row_signs(basis, y.mean(axis=1))
     return ReducedData(basis=basis, pixels=basis @ y, singular_values=svals)
-
-
-def reconstruct(reduced: ReducedData) -> np.ndarray:
-    """Lift reduced pixels back to the original band space (diagnostics only)."""
-    return reduced.basis.T @ reduced.pixels

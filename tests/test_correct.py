@@ -251,6 +251,13 @@ def test_gradient_ignores_clamped_pixels():
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_gradient_orthogonal_normal_raises():
+    evaluator, normals = kernel_case(0)
+    for n in normals[2:4]:  # +-orthogonal to the anchor
+        with pytest.raises(NearOrthogonalNormalError):
+            evaluator.gradient(n)
+
+
 def test_gradient_matches_finite_differences():
     h = 1e-6
     worst = 0.0
@@ -283,44 +290,58 @@ def plane_data(k, n_pixels, seed):
     return simple_reduced((m @ abundances) * (mu / mu.mean()))
 
 
-def test_newton_hessian_matches_finite_differences():
-    # central differences of the analytic gradient, as criterion 6d checks
-    # the gradient against differences of the objective
+def chart_case(seed):
+    """Evaluator, a point m on its chart c* . m = 1 near the anchor's
+    direction, and an orthonormal basis of the chart's directions."""
+    k = 2 + seed % 3
+    reduced = plane_data(k, 64, seed)
+    c_star = mean_point(reduced)
+    unit = c_star / np.linalg.norm(c_star)
+    n = np.random.default_rng(seed + 1000).standard_normal(k) + unit
+    return _PsiEvaluator(reduced, c_star), n / float(c_star @ n), correct_module._tangent_basis(unit)
+
+
+def test_chart_hessian_matches_finite_differences():
+    # central differences of the chart gradient along the chart, as
+    # criterion 6d checks the gradient against differences of the objective
     h = 1e-6
     worst = 0.0
     for seed in range(20):
-        k = 2 + seed % 3
-        reduced = plane_data(k, 64, seed)
-        c_star = mean_point(reduced)
-        evaluator = _PsiEvaluator(reduced, c_star)
-        n = np.random.default_rng(seed + 1000).standard_normal(k) + c_star / np.linalg.norm(c_star)
-        n /= np.linalg.norm(n)
-        grad, hess = evaluator.newton_system(n)
-        np.testing.assert_allclose(grad, evaluator.gradient(n), rtol=1e-10, atol=0.0)
-        fd = np.empty_like(hess)
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = h
-            fd[:, i] = (evaluator.gradient(n + e) - evaluator.gradient(n - e)) / (2.0 * h)
+        evaluator, m, basis = chart_case(seed)
+        _, hess = evaluator.chart_system(m)
+        fd = np.column_stack([
+            (evaluator.chart_system(m + h * u)[0] - evaluator.chart_system(m - h * u)[0]) / (2.0 * h)
+            for u in basis.T
+        ])
         np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=0.0)
-        worst = max(worst, float(np.max(np.abs(hess - fd)) / np.max(np.abs(fd))))
+        want = hess @ basis
+        worst = max(worst, float(np.max(np.abs(want - fd)) / np.max(np.abs(want))))
     assert worst < 1e-4
 
 
-def test_newton_system_ignores_clamped_pixels():
+def test_chart_gradient_matches_psi_differences():
+    # psi(m / |m|) is the objective on the chart; its central differences in
+    # a chart basis must match the chart gradient there
+    h = 1e-6
+    worst = 0.0
+    for seed in range(20):
+        evaluator, m, basis = chart_case(seed)
+        grad, _ = evaluator.chart_system(m)
+        psi = lambda x: evaluator.value(x / np.linalg.norm(x))
+        fd = np.array([(psi(m + h * u) - psi(m - h * u)) / (2.0 * h) for u in basis.T])
+        want = basis.T @ grad
+        worst = max(worst, float(np.max(np.abs(want - fd)) / max(np.max(np.abs(want)), 1e-12)))
+    assert worst < 1e-4
+
+
+def test_chart_system_ignores_clamped_pixels():
     evaluator, normals = kernel_case(0)
     for n in normals[:2]:  # e1 and -e1
         unclamped = np.abs((n @ evaluator.pixels) / float(n @ evaluator.c_star)) >= MU_FLOOR
         assert np.count_nonzero(~unclamped) == 4
         reference = _PsiEvaluator(simple_reduced(evaluator.pixels[:, unclamped]), evaluator.c_star)
-        for got, want in zip(evaluator.newton_system(n), reference.newton_system(n)):
+        for got, want in zip(evaluator.chart_system(n), reference.chart_system(n)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_newton_system_orthogonal_normal_raises():
-    evaluator, normals = kernel_case(0)
-    with pytest.raises(NearOrthogonalNormalError):
-        evaluator.newton_system(normals[2])
 
 
 def test_newton_never_increases_objective_and_is_deterministic():

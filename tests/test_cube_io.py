@@ -16,7 +16,6 @@ from hsiscale import (
     write_cube,
 )
 from hsiscale.fileio import (
-    load_matrix,
     load_vector,
     read_matrix_csv,
     read_matrix_f32,
@@ -50,7 +49,7 @@ def test_pixel_matrix_raster_order():
     cube = HsiCube(data)
     pm = cube.pixel_matrix()
     # pixel (row=1, col=0) is raster index 3
-    assert np.array_equal(pm[:, 3], cube.pixel(1, 0))
+    assert np.array_equal(pm[:, 3], cube.data[:, 1, 0])
 
 
 def test_roundtrip_small_cube(tmp_path):
@@ -151,7 +150,7 @@ def test_vector_dispatch_by_extension(tmp_path):
         path = tmp_path / name
         save_vector(v, path)
         assert np.array_equal(load_vector(path), v)
-    assert load_matrix(tmp_path / "v.csv").shape == (3, 1)
+    assert read_matrix_csv(tmp_path / "v.csv").shape == (3, 1)
 
 
 def test_ground_truth_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsiscale import DimensionError, HsiCube, ReducedData, ValidationError, reconstruct, svd_reduce
+from hsiscale import DimensionError, HsiCube, ReducedData, ValidationError, svd_reduce
 from conftest import make_rank_k_cube
 
 
@@ -12,7 +12,7 @@ def rel_frob(a, b):
 def test_rank_k_data_reconstructs_exactly():
     cube = make_rank_k_cube(bands=8, height=6, width=7, k=2, seed=1)
     reduced = svd_reduce(cube, 2)
-    assert rel_frob(reconstruct(reduced), cube.pixel_matrix()) < 1e-10
+    assert rel_frob(reduced.basis.T @ reduced.pixels, cube.pixel_matrix()) < 1e-10
 
 
 def test_identical_pixels_rank_one():
@@ -22,6 +22,17 @@ def test_identical_pixels_rank_one():
     # sign convention picks the direction aligned with the mean pixel
     assert np.allclose(reduced.basis[0], p / np.linalg.norm(p))
     assert np.allclose(reduced.pixels[0], np.linalg.norm(p))
+
+
+def test_sign_convention_for_a_direction_orthogonal_to_the_mean():
+    # pixels (2, 1) and (1, 2): the second singular direction is orthogonal
+    # to the mean pixel (1.5, 1.5), so its dot product cannot fix the sign
+    # and the first nonzero entry is made positive instead
+    cube = HsiCube(np.array([[[2.0, 1.0]], [[1.0, 2.0]]]))
+    reduced = svd_reduce(cube, 2)
+    assert float(reduced.basis[1] @ cube.pixel_matrix().mean(axis=1)) == 0.0
+    np.testing.assert_allclose(reduced.basis[1], np.array([1.0, -1.0]) / np.sqrt(2.0), rtol=1e-12)
+    np.testing.assert_allclose(reduced.singular_values, [3.0, 1.0], rtol=1e-12)
 
 
 def test_noise_floor_matches_full_svd_oracle():
@@ -64,7 +75,7 @@ def test_reconstruct_trivial_cases():
         pixels=np.zeros_like(reduced.pixels),
         singular_values=reduced.singular_values,
     )
-    assert np.all(reconstruct(zero) == 0.0)
+    assert np.all(zero.basis.T @ zero.pixels == 0.0)
 
 
 def test_reconstruct_never_inflates_norm():
@@ -72,7 +83,7 @@ def test_reconstruct_never_inflates_norm():
         rng = np.random.default_rng(seed)
         cube = HsiCube(rng.uniform(0.0, 1.0, (9, 5, 5)))
         reduced = svd_reduce(cube, 3)
-        assert np.linalg.norm(reconstruct(reduced)) <= np.linalg.norm(cube.pixel_matrix()) + 1e-9
+        assert np.linalg.norm(reduced.basis.T @ reduced.pixels) <= np.linalg.norm(cube.pixel_matrix()) + 1e-9
 
 
 def test_linearity_preservation():
