@@ -155,7 +155,7 @@ def cmd_correct(args) -> int:
     corrected, report = run_correction(
         cube,
         args.endmembers,
-        pso_config=swarm_config(args.candidates, args.seed, args.pso_iters),
+        pso_config=swarm_config(args.seed, args.pso_iters),
         gd_config=None if args.gd_iters is None else GdConfig(max_iters=args.gd_iters),
         candidate_count=args.candidates,
         rng_seed=args.seed,
@@ -354,7 +354,7 @@ def cmd_sweep(args) -> int:
             _, report = run_correction(
                 scene.scaled_cube,
                 args.endmembers,
-                pso_config=swarm_config(args.candidates, run_seed, args.pso_iters),
+                pso_config=swarm_config(run_seed, args.pso_iters),
                 candidate_count=args.candidates,
                 rng_seed=run_seed,
             )

@@ -8,7 +8,9 @@ divides it out:
 
 1. reduce the cube to the K-dimensional dominant subspace,
 2. anchor the hyperplane at the mean reduced pixel,
-3. seed a swarm with candidate normals solved from random pixel K-sets,
+3. seed a swarm with candidate normals solved from random pixel K-sets;
+   it holds every accepted candidate, topped up to 64 particles with
+   random directions,
 4. locate the basin of the projection residual's minimum with a short
    PSO run,
 5. polish with damped Newton steps in the affine chart c* . m = 1 of the
@@ -54,6 +56,7 @@ CANDIDATE_MIN_SEPARATION = 0.5
 CANDIDATE_MAX_COND = 1e6
 CANDIDATE_MAX_RETRIES = 20
 _SEPARATION_SUBSAMPLE = 512
+_CANDIDATE_BATCH = 256  # K-sets tested at once; bounds the draws x K^3 distance temporary
 # swarm weights: the constriction values of Clerc & Kennedy (IEEE TEVC 2002)
 _PSO_INERTIA = 0.72
 _PSO_COGNITIVE = 1.49
@@ -169,8 +172,10 @@ class ScalingField:
 class PsoConfig:
     """Swarm search size, length and seed; the weights are module constants.
 
-    The default length only has to find the basin of the minimum: the
-    Newton polish that follows closes the last gap in a few steps.
+    ``swarm_size`` is the least particle count: ``pso_minimize`` grows the
+    swarm to hold every start it is given. The default length only has to
+    find the basin of the minimum: the Newton polish that follows closes
+    the last gap in a few steps.
     """
 
     swarm_size: int = 64
@@ -237,17 +242,14 @@ def derive_seeds(rng_seed: int) -> tuple[int, int]:
     return tuple(int(s.generate_state(1)[0]) for s in children)
 
 
-def swarm_config(
-    candidate_count: int, rng_seed: int, iterations: int = PsoConfig.iterations
-) -> PsoConfig:
-    """The swarm ``run_correction`` uses by default for these candidates and seed.
+def swarm_config(rng_seed: int, iterations: int = PsoConfig.iterations) -> PsoConfig:
+    """The swarm ``run_correction`` uses by default for this seed.
 
-    The swarm holds at least every candidate, and its streams come from
-    the second child of the master seed.
+    The base size of 64 particles; ``pso_minimize`` grows it to hold every
+    accepted candidate. Its streams come from the second child of the
+    master seed.
     """
-    return PsoConfig(
-        swarm_size=max(64, candidate_count), iterations=iterations, seed=derive_seeds(rng_seed)[1]
-    )
+    return PsoConfig(iterations=iterations, seed=derive_seeds(rng_seed)[1])
 
 
 def mean_point(reduced: ReducedData) -> np.ndarray:
@@ -357,10 +359,14 @@ def _upper_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every pair of columns, upper triangle."""
-    diff = points[:, :, None] - points[:, None, :]
-    dists = np.sqrt(np.einsum("kij,kij->ij", diff, diff))
-    return dists[_upper_triangle(points.shape[1])]
+    """Euclidean distances between every pair of columns, upper triangle.
+
+    A stack of point sets gives one row of distances per set.
+    """
+    diff = points[..., :, :, None] - points[..., :, None, :]
+    dists = np.sqrt(np.einsum("...kij,...kij->...ij", diff, diff))
+    i, j = _upper_triangle(points.shape[-1])
+    return dists[..., i, j]
 
 
 def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
@@ -370,6 +376,10 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     pixels; a K-set whose pixels share one scale factor yields the true
     normal exactly, so enough samples land some candidates near it. K-sets
     that are too close together or too ill-conditioned are rejected.
+
+    The K-sets are drawn one at a time and tested in batches of at most
+    as many sets as are still missing, so the result is that of testing
+    each draw as it comes.
     """
     if count < 1:
         raise ValidationError("candidate count must be >= 1")
@@ -389,20 +399,20 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
 
     accepted: list[np.ndarray] = []
     budget = CANDIDATE_MAX_RETRIES * count
-    for _ in range(budget):
-        if len(accepted) >= count:
-            break
-        idx = rng.choice(n, size=k, replace=False)
-        b = pixels[:, idx]
-        if k >= 2 and float(_pairwise_distances(b).min()) < min_separation:
-            continue
-        if np.linalg.cond(b) > CANDIDATE_MAX_COND:
-            continue
-        try:
-            model = HyperplaneModel.build(c_star, np.linalg.solve(b.T, ones), floor)
-        except (np.linalg.LinAlgError, ValidationError, NearOrthogonalNormalError):
-            continue
-        accepted.append(model.normal)
+    while budget > 0 and len(accepted) < count:
+        draws = min(budget, count - len(accepted), _CANDIDATE_BATCH)
+        budget -= draws
+        idx = np.array([rng.choice(n, size=k, replace=False) for _ in range(draws)])
+        sets = pixels[:, idx].transpose(1, 0, 2)  # (draws, K, K), one pixel per column
+        if k >= 2:
+            sets = sets[_pairwise_distances(sets).min(axis=1) >= min_separation]
+        # numpy's cond reads a 0/0 ratio as inf, not nan, so the test rejects it
+        for b in sets[np.linalg.cond(sets) <= CANDIDATE_MAX_COND]:
+            try:
+                model = HyperplaneModel.build(c_star, np.linalg.solve(b.T, ones), floor)
+            except (np.linalg.LinAlgError, ValidationError, NearOrthogonalNormalError):
+                continue
+            accepted.append(model.normal)
 
     if not accepted:
         raise DegenerateDataError(
@@ -692,7 +702,7 @@ def run_correction(
     else:
         starts = candidate_normals(reduced, candidate_count, derive_seeds(rng_seed)[0])
         if pso_config is None:
-            pso_config = swarm_config(candidate_count, rng_seed)
+            pso_config = swarm_config(rng_seed)
 
     (_, psi_initial), (_, psi_after_pso), (normal, psi_final) = search_normal(
         reduced, c_star, starts, pso_config, gd_config

@@ -163,7 +163,7 @@ def test_correct_explicit_search_is_swarm_then_gd(tmp_path):
     )
     _, report = run_correction(
         read_cube(scene / "scaled.hsic"), 3,
-        pso_config=swarm_config(64, 7, 20), gd_config=GdConfig(50), candidate_count=64, rng_seed=7,
+        pso_config=swarm_config(7, 20), gd_config=GdConfig(50), candidate_count=64, rng_seed=7,
     )
     assert_same_correction(cli_result, report)
 

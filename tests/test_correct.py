@@ -13,12 +13,14 @@ from hsiscale import (
     PsoConfig,
     ReducedData,
     ScalingField,
+    SynthConfig,
     ValidationError,
     apply_scaling,
     candidate_normals,
     correct_pixels,
     estimate_scaling,
     gd_refine,
+    gen_scene,
     mean_point,
     newton_refine,
     objective_psi,
@@ -77,9 +79,14 @@ def test_candidate_two_pixel_solve():
         assert np.allclose(n, [1.0 / SQ2, 1.0 / SQ2], atol=1e-12)
 
 
+DEGENERATE_MESSAGE = (
+    "no linearly independent, well-separated pixel set found; the cube may be rank-deficient"
+)
+
+
 def test_candidate_identical_pixels_degenerate():
     reduced = simple_reduced(np.tile(np.array([[1.0], [1.0]]), (1, 6)))
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match=DEGENERATE_MESSAGE):
         candidate_normals(reduced, 4, rng_seed=0)
 
 
@@ -94,6 +101,111 @@ def test_candidate_count_respected():
     reduced, _, _ = make_line_data(n_pixels=200, mu_std=0.2, seed=4)
     cands = candidate_normals(reduced, 17, rng_seed=5)
     assert 1 <= len(cands) <= 17
+
+
+def candidate_reference(reduced, count, rng_seed):
+    """The one-at-a-time filter: each K-set is tested as soon as it is drawn."""
+    k, n = reduced.k, reduced.n_pixels
+    pixels = reduced.pixels
+    rng = np.random.default_rng(rng_seed)
+    c_star = mean_point(reduced)
+    floor = denom_floor_for(pixels)
+
+    def pairwise(points):
+        diff = points[:, :, None] - points[:, None, :]
+        return np.sqrt(np.einsum("kij,kij->ij", diff, diff))[np.triu_indices(points.shape[1], 1)]
+
+    min_separation = 0.0
+    if k >= 2:
+        sub = pixels[:, rng.choice(n, size=min(n, correct_module._SEPARATION_SUBSAMPLE), replace=False)]
+        min_separation = correct_module.CANDIDATE_MIN_SEPARATION * float(np.median(pairwise(sub)))
+    accepted = []
+    for _ in range(correct_module.CANDIDATE_MAX_RETRIES * count):
+        if len(accepted) >= count:
+            break
+        b = pixels[:, rng.choice(n, size=k, replace=False)]
+        if k >= 2 and float(pairwise(b).min()) < min_separation:
+            continue
+        if np.linalg.cond(b) > correct_module.CANDIDATE_MAX_COND:
+            continue
+        try:
+            model = HyperplaneModel.build(c_star, np.linalg.solve(b.T, np.ones(k)), floor)
+        except (np.linalg.LinAlgError, ValidationError, NearOrthogonalNormalError):
+            continue
+        accepted.append(model.normal)
+    if not accepted:
+        raise DegenerateDataError(DEGENERATE_MESSAGE)
+    return accepted
+
+
+def assert_same_candidates(reduced, count, rng_seed):
+    """``candidate_normals`` returns the reference list bit for bit, or both
+    raise the same error; returns the list."""
+    try:
+        want = candidate_reference(reduced, count, rng_seed)
+    except DegenerateDataError:
+        with pytest.raises(DegenerateDataError, match=DEGENERATE_MESSAGE):
+            candidate_normals(reduced, count, rng_seed)
+        return []
+    got = candidate_normals(reduced, count, rng_seed)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return got
+
+
+@pytest.fixture(scope="module")
+def filter_scenes():
+    """Reduced pixels of the benchmark's two correction scenes and of a K=2
+    and a K=8 scene."""
+    configs = {
+        "bench": SynthConfig(height=128, width=128, bands=100, endmembers=5, scale_std=0.3, seed=7),
+        "noisy": SynthConfig(
+            height=96, width=96, bands=100, endmembers=6, scale_std=0.2, snr_db=25.0, seed=7
+        ),
+        "k2": SynthConfig(height=32, width=32, bands=30, endmembers=2, scale_std=0.3, seed=3),
+        "k8": SynthConfig(height=48, width=48, bands=30, endmembers=8, scale_std=0.3, seed=0),
+    }
+    return {name: svd_reduce(gen_scene(cfg).scaled_cube, cfg.endmembers) for name, cfg in configs.items()}
+
+
+@pytest.mark.parametrize("scene", ["bench", "noisy"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidate_filter_matches_reference_on_benchmark_scenes(filter_scenes, scene, seed):
+    # 200 requested: both scenes run out of the 4000-draw budget first
+    got = assert_same_candidates(filter_scenes[scene], 200, derive_seeds(seed)[0])
+    assert 1 <= len(got) < 200
+
+
+@pytest.mark.parametrize("count", [1, 8, 64, 200, 300])
+def test_candidate_filter_matches_reference_for_each_count(filter_scenes, count):
+    # 300 is more than one batch holds, so the first batch is capped
+    assert_same_candidates(filter_scenes["bench"], count, rng_seed=11)
+
+
+def test_candidate_filter_matches_reference_in_small_batches(monkeypatch, filter_scenes):
+    monkeypatch.setattr(correct_module, "_CANDIDATE_BATCH", 3)
+    assert_same_candidates(filter_scenes["bench"], 64, rng_seed=11)
+    assert_same_candidates(filter_scenes["noisy"], 64, rng_seed=11)
+
+
+@pytest.mark.parametrize("scene", ["k2", "k8"])
+@pytest.mark.parametrize("count", [8, 200])
+def test_candidate_filter_matches_reference_for_k2_and_k8(filter_scenes, scene, count):
+    for seed in (0, 1):
+        assert_same_candidates(filter_scenes[scene], count, rng_seed=seed)
+
+
+def test_candidate_filter_matches_reference_on_repeated_pixels():
+    # three quarters of the pixels are zero, so the median separation is 0,
+    # all-zero K-sets pass it, and their cond is 0/0, which numpy reports as
+    # inf without a warning; pyproject.toml turns any RuntimeWarning into an error
+    data = np.zeros((3, 100))
+    data[:, 75:] = np.random.default_rng(31).uniform(0.1, 1.0, (3, 25))
+    reduced = svd_reduce(HsiCube(data.reshape(3, 10, 10)), 2)
+    assert np.count_nonzero(np.all(reduced.pixels == 0.0, axis=0)) == 75
+    assert np.isinf(np.linalg.cond(np.zeros((2, 2, 2)))).all()
+    for seed in range(3):
+        assert len(assert_same_candidates(reduced, 8, rng_seed=seed)) >= 1
 
 
 # -------------------------------------------------------------- objective
@@ -207,6 +319,15 @@ def test_psi_batch_matches_unfused_reference(monkeypatch, block_rows, n_random):
     mu = (normals[0] @ evaluator.pixels) / float(normals[0] @ evaluator.c_star)
     assert np.count_nonzero(np.abs(mu) < MU_FLOOR) == 4
     assert np.array_equal(mu[4:6], [-MU_FLOOR, MU_FLOOR])
+
+
+def test_psi_batch_is_bitwise_sign_invariant():
+    # negating n negates both n . p and c* . n exactly, so their ratio mu,
+    # and with it the score, is bit for bit the same
+    evaluator, normals = kernel_case(500)
+    np.testing.assert_array_equal(evaluator.batch(normals), evaluator.batch(-normals))
+    for n in normals[:20]:
+        assert evaluator.value(n) == evaluator.value(-n)
 
 
 def test_psi_batch_clamps_zero_ratio_to_positive_floor(worked_reduced):
@@ -678,6 +799,40 @@ def test_run_correction_reports_the_search_stages():
     assert np.array_equal(report.model.normal, HyperplaneModel.build(
         c_star, stages[2][0], denom_floor_for(reduced.pixels)
     ).normal)
+
+
+@pytest.mark.parametrize("snr_db, k", [(25.0, 6), (40.0, 5)])
+def test_default_swarm_holds_the_accepted_candidates(monkeypatch, snr_db, k):
+    # at 25 dB fewer than 64 of the 200 requested candidates pass, at 40 dB
+    # more than 64 but not all: the swarm is 64 particles, or one per candidate
+    scene = gen_scene(SynthConfig(
+        height=32, width=32, bands=30, endmembers=k, scale_std=0.2, snr_db=snr_db, seed=7
+    ))
+    real_pso, real_batch = correct_module.pso_minimize, _PsiEvaluator.batch
+    runs = []
+
+    def spy_batch(evaluator, normals):
+        runs[-1]["rows"].append(normals.shape[0])
+        return real_batch(evaluator, normals)
+
+    def spy_pso(reduced, c_star, initial_normals, config):
+        runs.append({"starts": len(initial_normals), "rows": []})
+        monkeypatch.setattr(_PsiEvaluator, "batch", spy_batch)
+        try:
+            return real_pso(reduced, c_star, initial_normals, config)
+        finally:
+            monkeypatch.setattr(_PsiEvaluator, "batch", real_batch)
+
+    monkeypatch.setattr(correct_module, "pso_minimize", spy_pso)
+    (a, ra), (b, rb) = (run_correction(scene.scaled_cube, k, rng_seed=0) for _ in range(2))
+    assert runs[0] == runs[1]
+    accepted = runs[0]["starts"]
+    assert accepted == ra.candidate_count
+    assert (accepted < 64) if snr_db == 25.0 else (64 < accepted < 200)
+    # every evaluation of the swarm, the first and one per iteration, scores each particle
+    assert runs[0]["rows"] == [max(64, accepted)] * (PsoConfig().iterations + 1)
+    assert np.array_equal(a.data, b.data)
+    assert ra.to_json_dict() == rb.to_json_dict()
 
 
 def test_run_correction_unscaled_fixed_point():
