@@ -101,6 +101,12 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _endmember_bound_error(k: int, cube) -> int | None:
+    if k > min(cube.bands, cube.n_pixels):
+        return _usage_error(f"--endmembers {k} exceeds min(bands={cube.bands}, pixels={cube.n_pixels})")
+    return None
+
+
 def _read_finite_csv(path):
     """A CSV matrix for a computation: the reader checks the format, not the values."""
     matrix = read_matrix_csv(path)
@@ -145,11 +151,8 @@ def cmd_correct(args) -> int:
     manifest = _ManifestWriter("correct", _config_dict(args), args.seed)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
-    if args.endmembers > min(cube.bands, cube.n_pixels):
-        return _usage_error(
-            f"--endmembers {args.endmembers} exceeds min(bands={cube.bands}, "
-            f"pixels={cube.n_pixels})"
-        )
+    if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
+        return code
 
     # without --gd-iters the search ends in run_correction's Newton polish
     corrected, report = run_correction(
@@ -272,8 +275,8 @@ def cmd_ablate(args) -> int:
     truth = ScalingField.from_raw(load_vector(args.truth_mu))
     manifest.add_input(args.input)
     manifest.add_input(args.truth_mu)
-    if args.endmembers > min(cube.bands, cube.n_pixels):
-        return _usage_error("--endmembers exceeds min(bands, pixels)")
+    if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
+        return code
 
     reduced = svd_reduce(cube, args.endmembers)
     c_star = mean_point(reduced)
@@ -302,7 +305,7 @@ def cmd_ablate(args) -> int:
     )
     # (c) candidate-seeded swarm without refinement and (d) the full
     # search are two points of one run
-    candidates = candidate_normals(reduced, args.candidates, seed_ints[3])
+    candidates = candidate_normals(reduced, c_star, args.candidates, seed_ints[3])
     pso_cd = PsoConfig(
         swarm_size=max(64, args.candidates), iterations=args.pso_iters, seed=seed_ints[2]
     )

@@ -369,7 +369,7 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     return dists[..., i, j]
 
 
-def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
+def candidate_normals(reduced: ReducedData, c_star: np.ndarray, count: int, rng_seed: int) -> list[np.ndarray]:
     """Solve hyperplane normals from random well-separated pixel K-sets.
 
     Each candidate solves ``B.T @ n = 1`` where B stacks K sampled reduced
@@ -388,7 +388,6 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
         raise DimensionError(f"need at least {k} pixels, have {n}")
     pixels = reduced.pixels
     rng = np.random.default_rng(rng_seed)
-    c_star = mean_point(reduced)
     floor = denom_floor_for(pixels)
     ones = np.ones(k)
 
@@ -700,7 +699,7 @@ def run_correction(
     if k == 1:
         starts, pso_config, gd_config = [np.ones(1)], None, None
     else:
-        starts = candidate_normals(reduced, candidate_count, derive_seeds(rng_seed)[0])
+        starts = candidate_normals(reduced, c_star, candidate_count, derive_seeds(rng_seed)[0])
         if pso_config is None:
             pso_config = swarm_config(rng_seed)
 

@@ -8,11 +8,15 @@ rewritten is byte-identical.
 Matrices travel either as CSV with a one-line ``rows,cols`` header or as
 raw float32 with a u32 ``rows``, u32 ``cols`` header; the extension
 (``.csv`` vs anything else, conventionally ``.f32``) selects the format.
+CSV values carry 17 significant digits and read back exactly. The float32
+writers refuse a value beyond the float32 range before creating the file.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,26 +27,40 @@ from .errors import DimensionError, FormatError, ValidationError
 MAGIC = b"HSIC"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIII")
+_MATRIX_HEADER = struct.Struct("<II")
 
 # refuse headers whose element count cannot be a real payload
 MAX_ELEMENTS = 1 << 40
 
 
-def _float32_payload(values: np.ndarray) -> np.ndarray:
-    """Little-endian float32 copy; refuses finite values the cast turns into inf."""
+def _write_float32(path, header: bytes, values: np.ndarray) -> None:
+    """Write ``header``, then ``values`` as float32, refusing out-of-range values before the file exists."""
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(values, dtype="<f4")
     overflow = np.isinf(payload) & np.isfinite(values)
     if overflow.any():
         value = float(values.flat[int(np.argmax(overflow))])
         raise ValidationError(f"value {value!r} is beyond the float32 range of the file format")
-    return payload
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+
+
+def _decode_float32(raw: bytes, header_size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The float32 payload after a ``header_size``-byte header, as float64 of ``shape``."""
+    count = math.prod(shape)
+    if count > MAX_ELEMENTS:  # points at the dimensions, the header's last fields
+        dims = "x".join(map(str, shape))
+        raise FormatError(f"dimension overflow: {dims} elements", offset=header_size - 4 * len(shape))
+    expected = header_size + 4 * count
+    if len(raw) != expected:
+        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(raw)}", offset=header_size)
+    with np.errstate(invalid="ignore"):  # a signalling NaN casts to a quiet one
+        return np.frombuffer(raw, dtype="<f4", offset=header_size).astype(np.float64).reshape(shape)
 
 
 def write_cube(cube: HsiCube, path) -> None:
-    payload = _float32_payload(cube.data)
-    header = _HEADER.pack(MAGIC, VERSION, 0, cube.bands, cube.height, cube.width)
-    Path(path).write_bytes(header + payload.tobytes())
+    _write_float32(path, _HEADER.pack(MAGIC, VERSION, 0, cube.bands, cube.height, cube.width), cube.data)
 
 
 def read_cube(path) -> HsiCube:
@@ -56,27 +74,12 @@ def read_cube(path) -> HsiCube:
         raise FormatError(f"unsupported version {version}", offset=4)
     if min(n_bands, height, width) < 1:
         raise FormatError(f"dimensions must be positive, got {n_bands}x{height}x{width}", offset=8)
-    count = n_bands * height * width
-    if count > MAX_ELEMENTS:
-        raise FormatError(f"dimension overflow: {n_bands}x{height}x{width} elements", offset=8)
-    expected = _HEADER.size + 4 * count
-    if len(raw) != expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(raw)}",
-            offset=_HEADER.size,
-        )
-    with np.errstate(invalid="ignore"):  # a signalling NaN casts to NaN, which HsiCube refuses
-        values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    return HsiCube(values.reshape(n_bands, height, width))
+    return HsiCube(_decode_float32(raw, _HEADER.size, (n_bands, height, width)))
 
 
 def write_matrix_csv(matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    rows, cols = matrix.shape
-    with open(path, "w") as fh:
-        fh.write(f"{rows},{cols}\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header="%d,%d" % matrix.shape, comments="")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -88,33 +91,27 @@ def read_matrix_csv(path) -> np.ndarray:
         except ValueError:
             raise FormatError(f"bad CSV header {header!r}, expected 'rows,cols'", offset=0)
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty body is refused below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise FormatError(f"CSV body does not parse: {exc}") from exc
     if data.shape != (rows, cols):
-        raise FormatError(f"CSV body is {data.shape}, header claims ({rows}, {cols})")
+        body = "empty" if data.size == 0 else data.shape
+        raise FormatError(f"CSV body is {body}, header claims ({rows}, {cols})")
     return data
 
 
 def write_matrix_f32(matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    rows, cols = matrix.shape
-    payload = _float32_payload(matrix)
-    Path(path).write_bytes(struct.pack("<II", rows, cols) + payload.tobytes())
+    _write_float32(path, _MATRIX_HEADER.pack(*matrix.shape), matrix)
 
 
 def read_matrix_f32(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if len(raw) < 8:
+    if len(raw) < _MATRIX_HEADER.size:
         raise FormatError(f"file too short for matrix header: {len(raw)} bytes", offset=0)
-    rows, cols = struct.unpack_from("<II", raw, 0)
-    if rows * cols > MAX_ELEMENTS:
-        raise FormatError(f"dimension overflow: {rows}x{cols} elements", offset=0)
-    expected = 8 + 4 * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(raw)}", offset=8)
-    with np.errstate(invalid="ignore"):  # a signalling NaN casts to NaN, like a quiet one
-        return np.frombuffer(raw, dtype="<f4", offset=8).astype(np.float64).reshape(rows, cols)
+    return _decode_float32(raw, _MATRIX_HEADER.size, _MATRIX_HEADER.unpack_from(raw, 0))
 
 
 def save_vector(values: np.ndarray, path) -> None:

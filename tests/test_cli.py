@@ -168,6 +168,9 @@ def test_correct_explicit_search_is_swarm_then_gd(tmp_path):
     assert_same_correction(cli_result, report)
 
 
+K_TOO_LARGE = "usage error: --endmembers 99 exceeds min(bands=14, pixels=256)"
+
+
 def test_correct_k_too_large_usage_error(tmp_path, capsys):
     scene = synth(tmp_path)
     code = main([
@@ -175,6 +178,19 @@ def test_correct_k_too_large_usage_error(tmp_path, capsys):
         "--out", str(tmp_path / "x.hsic"), "--mu-out", str(tmp_path / "x.f32"),
     ])
     assert code == 2
+    assert K_TOO_LARGE in capsys.readouterr().err
+
+
+def test_ablate_k_too_large_usage_error(tmp_path, capsys):
+    scene = synth(tmp_path)
+    out = tmp_path / "ablate.json"
+    code = main([
+        "ablate", "--input", str(scene / "scaled.hsic"), "--truth-mu", str(scene / "mu_true.f32"),
+        "--endmembers", "99", "--out", str(out),
+    ])
+    assert code == 2
+    assert K_TOO_LARGE in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_correct_missing_input_runtime_error(tmp_path, capsys):

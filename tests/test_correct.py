@@ -74,7 +74,7 @@ def test_mean_point_symmetric_cloud_is_zero():
 
 def test_candidate_two_pixel_solve():
     reduced = simple_reduced(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    cands = candidate_normals(reduced, 5, rng_seed=1)
+    cands = candidate_normals(reduced, mean_point(reduced), 5, rng_seed=1)
     for n in cands:
         assert np.allclose(n, [1.0 / SQ2, 1.0 / SQ2], atol=1e-12)
 
@@ -87,19 +87,19 @@ DEGENERATE_MESSAGE = (
 def test_candidate_identical_pixels_degenerate():
     reduced = simple_reduced(np.tile(np.array([[1.0], [1.0]]), (1, 6)))
     with pytest.raises(DegenerateDataError, match=DEGENERATE_MESSAGE):
-        candidate_normals(reduced, 4, rng_seed=0)
+        candidate_normals(reduced, mean_point(reduced), 4, rng_seed=0)
 
 
 def test_candidates_equal_true_normal_without_scaling():
     reduced, true_normal, _ = make_line_data(n_pixels=128, mu_std=0.0, seed=2)
-    cands = candidate_normals(reduced, 32, rng_seed=3)
+    cands = candidate_normals(reduced, mean_point(reduced), 32, rng_seed=3)
     for n in cands:
         assert min(np.linalg.norm(n - true_normal), np.linalg.norm(n + true_normal)) < 1e-8
 
 
 def test_candidate_count_respected():
     reduced, _, _ = make_line_data(n_pixels=200, mu_std=0.2, seed=4)
-    cands = candidate_normals(reduced, 17, rng_seed=5)
+    cands = candidate_normals(reduced, mean_point(reduced), 17, rng_seed=5)
     assert 1 <= len(cands) <= 17
 
 
@@ -145,9 +145,9 @@ def assert_same_candidates(reduced, count, rng_seed):
         want = candidate_reference(reduced, count, rng_seed)
     except DegenerateDataError:
         with pytest.raises(DegenerateDataError, match=DEGENERATE_MESSAGE):
-            candidate_normals(reduced, count, rng_seed)
+            candidate_normals(reduced, mean_point(reduced), count, rng_seed)
         return []
-    got = candidate_normals(reduced, count, rng_seed)
+    got = candidate_normals(reduced, mean_point(reduced), count, rng_seed)
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     return got
@@ -471,7 +471,7 @@ def test_newton_never_increases_objective_and_is_deterministic():
         c_star = mean_point(reduced)
         evaluator = _PsiEvaluator(reduced, c_star)
         starts = list(np.random.default_rng(seed).standard_normal((8, 4)))
-        starts += candidate_normals(reduced, 4, rng_seed=seed)
+        starts += candidate_normals(reduced, c_star, 4, rng_seed=seed)
         for start in starts:
             out = newton_refine(start, reduced, c_star)
             assert np.array_equal(out, newton_refine(start, reduced, c_star))
@@ -567,7 +567,7 @@ def test_pso_beats_every_candidate():
     reduced, _, _ = make_line_data(n_pixels=256, mu_std=0.3, seed=13)
     c_star = mean_point(reduced)
     evaluator = _PsiEvaluator(reduced, c_star)
-    cands = candidate_normals(reduced, 20, rng_seed=14)
+    cands = candidate_normals(reduced, c_star, 20, rng_seed=14)
     out = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=32, iterations=60, seed=1))
     best_cand = min(evaluator.value(c) for c in cands)
     assert evaluator.value(out) <= best_cand + 1e-12
@@ -590,7 +590,7 @@ def test_pso_all_invalid_particles_fail():
 def test_pso_deterministic():
     reduced, _, _ = make_line_data(n_pixels=128, mu_std=0.3, seed=15)
     c_star = mean_point(reduced)
-    cands = candidate_normals(reduced, 8, rng_seed=16)
+    cands = candidate_normals(reduced, c_star, 8, rng_seed=16)
     config = PsoConfig(swarm_size=16, iterations=30, seed=42)
     a = pso_minimize(reduced, c_star, cands, config)
     b = pso_minimize(reduced, c_star, cands, config)
@@ -600,7 +600,7 @@ def test_pso_deterministic():
 def test_pso_grid_oracle_equivalence():
     reduced, _, _ = make_line_data(n_pixels=1024, mu_std=0.3, seed=17)
     c_star = mean_point(reduced)
-    cands = candidate_normals(reduced, 60, rng_seed=18)
+    cands = candidate_normals(reduced, c_star, 60, rng_seed=18)
     n_pso = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=64, iterations=120, seed=2))
     n_best = gd_refine(n_pso, reduced, c_star, GdConfig())
     psi_final = objective_psi(n_best, reduced, c_star)
@@ -733,7 +733,7 @@ def fast_configs(seed=0):
 def test_search_without_stages_returns_best_start():
     reduced, _, _ = make_line_data(n_pixels=128, mu_std=0.3, seed=19)
     c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, 12, rng_seed=20)
+    starts = candidate_normals(reduced, c_star, 12, rng_seed=20)
     evaluator = _PsiEvaluator(reduced, c_star)
     best = int(np.argmin([evaluator.value(n) for n in starts]))
     stages = search_normal(reduced, c_star, starts, None, None)
@@ -751,7 +751,7 @@ def test_search_without_stages_returns_best_start():
 def test_search_swarm_never_reports_above_best_start(seed):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=21 + seed)
     c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, 6, rng_seed=seed)
+    starts = candidate_normals(reduced, c_star, 6, rng_seed=seed)
     config = PsoConfig(swarm_size=4, iterations=3, seed=seed)
     (_, psi_start), (normal, psi_swarm), (_, psi_final) = search_normal(
         reduced, c_star, starts, config, None
@@ -763,7 +763,7 @@ def test_search_swarm_never_reports_above_best_start(seed):
 def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
     c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, 6, rng_seed=26)
+    starts = candidate_normals(reduced, c_star, 6, rng_seed=26)
     values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
     worst = starts[int(np.argmax(values))]
     monkeypatch.setattr(correct_module, "pso_minimize", lambda *args: worst)
@@ -777,7 +777,7 @@ def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
 def test_search_falls_back_when_the_newton_polish_does_worse(monkeypatch):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
     c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, 6, rng_seed=26)
+    starts = candidate_normals(reduced, c_star, 6, rng_seed=26)
     values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
     worst = starts[int(np.argmax(values))]
     monkeypatch.setattr(correct_module, "newton_refine", lambda *args: worst)
@@ -791,7 +791,7 @@ def test_run_correction_reports_the_search_stages():
     _, report = run_correction(scene.scaled_cube, 3, **configs)
     reduced = svd_reduce(scene.scaled_cube, 3)
     c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, configs["candidate_count"], derive_seeds(8)[0])
+    starts = candidate_normals(reduced, c_star, configs["candidate_count"], derive_seeds(8)[0])
     stages = search_normal(reduced, c_star, starts, configs["pso_config"], configs["gd_config"])
     assert (report.psi_initial, report.psi_after_pso, report.psi_final) == tuple(
         psi for _, psi in stages

@@ -1,4 +1,6 @@
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,19 +101,55 @@ def test_dimension_overflow(tmp_path):
         read_cube(path)
 
 
+def test_float32_writers_golden_bytes(tmp_path):
+    # the documented layouts, packed by hand: the shared writer must not drift from them
+    data = np.arange(24.0).reshape(2, 3, 4) / 7.0
+    write_cube(HsiCube(data), tmp_path / "c.hsic")
+    header = b"HSIC" + b"\x01\x00" + b"\x00\x00" + b"\x02\x00\x00\x00" + b"\x03\x00\x00\x00" + b"\x04\x00\x00\x00"
+    assert (tmp_path / "c.hsic").read_bytes() == header + data.astype("<f4").tobytes()
+
+    m = np.array([[0.1, -2.5, 3.0e38], [-0.0, 1e-45, 7.0]])
+    write_matrix_f32(m, tmp_path / "m.f32")
+    header = b"\x02\x00\x00\x00" + b"\x03\x00\x00\x00"
+    assert (tmp_path / "m.f32").read_bytes() == header + m.astype("<f4").tobytes()
+
+
+def test_write_cube_holds_the_payload_once(tmp_path):
+    cube = HsiCube(np.random.default_rng(4).uniform(0.0, 1.0, (64, 256, 256)))
+    path = tmp_path / "big.hsic"
+    tracemalloc.start()
+    try:
+        write_cube(cube, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 16 << 20
+    # the float32 payload plus the range check's two boolean masks
+    assert peak <= 1.6 * size
+
+
 def test_matrix_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 7))
+    random = np.random.default_rng(0).standard_normal((4, 7))
+    # -0.0 keeps its sign; subnormal, tiny and large integral values read back exactly
+    edge = np.array([[-0.0, 5e-324, 1e-300], [0.1, 1e16, 2**53 + 1]])
     path = tmp_path / "m.csv"
-    write_matrix_csv(m, path)
-    assert np.array_equal(read_matrix_csv(path), m)
+    for m in (random, edge):
+        write_matrix_csv(m, path)
+        back = read_matrix_csv(path)
+        assert np.array_equal(back, m)
+        assert np.array_equal(np.signbit(back), np.signbit(m))
 
 
 def test_matrix_csv_bad_header(tmp_path):
     path = tmp_path / "m.csv"
-    path.write_text("not,a,header\n1.0,2.0,3.0\n")
-    with pytest.raises(FormatError):
-        read_matrix_csv(path)
+    # a header-only file is refused as an empty body, without loadtxt's warning
+    for text, match in [("not,a,header\n1.0,2.0,3.0\n", "bad CSV header"), ("3,2\n", "CSV body is empty")]:
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=match):
+                read_matrix_csv(path)
 
 
 def test_matrix_f32_roundtrip(tmp_path):
