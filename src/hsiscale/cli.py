@@ -30,7 +30,6 @@ from .correct import (
     mean_point,
     run_correction,
     search_normal,
-    swarm_config,
 )
 from .errors import DimensionError, HsiScaleError, ValidationError
 from .fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
@@ -158,7 +157,7 @@ def cmd_correct(args) -> int:
     corrected, report = run_correction(
         cube,
         args.endmembers,
-        pso_config=swarm_config(args.seed, args.pso_iters),
+        pso_config=PsoConfig(iterations=args.pso_iters),
         gd_config=None if args.gd_iters is None else GdConfig(max_iters=args.gd_iters),
         candidate_count=args.candidates,
         rng_seed=args.seed,
@@ -189,6 +188,8 @@ def cmd_unmix(args) -> int:
         endmembers = _read_finite_csv(args.endmember_file)
         manifest.add_input(args.endmember_file)
     else:
+        if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
+            return code
         reduced = svd_reduce(cube, args.endmembers)
         endmembers = nfindr_extract(reduced, args.endmembers, seed=args.seed)
 
@@ -282,7 +283,7 @@ def cmd_ablate(args) -> int:
     c_star = mean_point(reduced)
     floor = denom_floor_for(reduced.pixels)
     gd = GdConfig(max_iters=args.gd_iters)
-    # its own four streams, not swarm_config's: other seeds would re-seed criterion 4's results
+    # its own four streams, not run_correction's: other seeds would re-seed criterion 4's results
     seeds = np.random.SeedSequence(args.seed).spawn(4)
     seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
 
@@ -296,20 +297,18 @@ def cmd_ablate(args) -> int:
 
     # each variant is a cut of the one search. (a) refinement alone from
     # one random direction
-    *_, gd_only = search_normal(reduced, c_star, random_units(seed_ints[0], 1), None, gd)
+    *_, gd_only = search_normal(reduced, c_star, random_units(seed_ints[0], 1), None, gd, seed_ints[2])
     # (b) swarm from random directions, then refinement; without
     # candidates the swarm stays at its base size
-    pso_b = PsoConfig(iterations=args.pso_iters, seed=seed_ints[2])
+    pso_b = PsoConfig(iterations=args.pso_iters)
     *_, pso_random_gd = search_normal(
-        reduced, c_star, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd
+        reduced, c_star, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd, seed_ints[2]
     )
     # (c) candidate-seeded swarm without refinement and (d) the full
     # search are two points of one run
     candidates = candidate_normals(reduced, c_star, args.candidates, seed_ints[3])
-    pso_cd = PsoConfig(
-        swarm_size=max(64, args.candidates), iterations=args.pso_iters, seed=seed_ints[2]
-    )
-    _, candidates_pso, full = search_normal(reduced, c_star, candidates, pso_cd, gd)
+    pso_cd = PsoConfig(swarm_size=max(64, args.candidates), iterations=args.pso_iters)
+    _, candidates_pso, full = search_normal(reduced, c_star, candidates, pso_cd, gd, seed_ints[2])
 
     results = {
         "gd_only": score(gd_only),
@@ -357,7 +356,7 @@ def cmd_sweep(args) -> int:
             _, report = run_correction(
                 scene.scaled_cube,
                 args.endmembers,
-                pso_config=swarm_config(run_seed, args.pso_iters),
+                pso_config=PsoConfig(iterations=args.pso_iters),
                 candidate_count=args.candidates,
                 rng_seed=run_seed,
             )

@@ -170,17 +170,17 @@ class ScalingField:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm search size, length and seed; the weights are module constants.
+    """Swarm search size and length; the weights are module constants.
 
     ``swarm_size`` is the least particle count: ``pso_minimize`` grows the
     swarm to hold every start it is given. The default length only has to
     find the basin of the minimum: the Newton polish that follows closes
-    the last gap in a few steps.
+    the last gap in a few steps. The swarm's seed is not part of the
+    config: ``run_correction`` derives it from its ``rng_seed``.
     """
 
     swarm_size: int = 64
     iterations: int = 30
-    seed: int = 0
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -210,10 +210,8 @@ class CorrectionReport:
     psi_initial: float
     psi_after_pso: float
     psi_final: float
-    clamped_pixels: int
     candidate_count: int
     seed: int
-    degenerate_mode: bool = False
 
     def __post_init__(self):
         if not (self.psi_final <= self.psi_after_pso <= self.psi_initial):
@@ -221,6 +219,15 @@ class CorrectionReport:
                 "objective must not increase through the pipeline: "
                 f"{self.psi_initial} -> {self.psi_after_pso} -> {self.psi_final}"
             )
+
+    @property
+    def clamped_pixels(self) -> int:
+        return self.mu_hat.clamped_count
+
+    @property
+    def degenerate_mode(self) -> bool:
+        """K=1: the hyperplane is a point and its normal the one-vector [1]."""
+        return self.model.normal.size == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,16 +247,6 @@ def derive_seeds(rng_seed: int) -> tuple[int, int]:
     """Child seeds (candidate sampling, swarm search) from one master seed."""
     children = np.random.SeedSequence(rng_seed).spawn(2)
     return tuple(int(s.generate_state(1)[0]) for s in children)
-
-
-def swarm_config(rng_seed: int, iterations: int = PsoConfig.iterations) -> PsoConfig:
-    """The swarm ``run_correction`` uses by default for this seed.
-
-    The base size of 64 particles; ``pso_minimize`` grows it to hold every
-    accepted candidate. Its streams come from the second child of the
-    master seed.
-    """
-    return PsoConfig(iterations=iterations, seed=derive_seeds(rng_seed)[1])
 
 
 def mean_point(reduced: ReducedData) -> np.ndarray:
@@ -426,12 +423,13 @@ def pso_minimize(
     c_star: np.ndarray,
     initial_normals: list[np.ndarray],
     config: PsoConfig,
+    seed: int,
 ) -> np.ndarray:
     """Global search for the residual-minimizing unit normal.
 
     Supplied normals become the first particles (the swarm grows to hold
     them all), so the result is never worse than the best of them. Each
-    particle owns an RNG stream split from the master seed; schedules that
+    particle owns an RNG stream split from ``seed``; schedules that
     evaluate particles in any order produce identical results. Position
     updates renormalize onto the unit sphere, matching the objective's
     scale invariance.
@@ -445,7 +443,7 @@ def pso_minimize(
     v_max = _PSO_VELOCITY_CLAMP * 2.0
     positions = np.empty((n_particles, k))
     velocities = np.empty((n_particles, k))
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n_particles)]
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_particles)]
     for i in range(n_particles):
         if i < len(initial_normals):
             vec = np.asarray(initial_normals[i], dtype=np.float64)
@@ -646,11 +644,13 @@ def search_normal(
     starts: list[np.ndarray],
     pso_config: PsoConfig | None,
     gd_config: GdConfig | None,
+    swarm_seed: int,
 ) -> tuple[tuple[np.ndarray, float], ...]:
     """The normal search: best start, then swarm, then polish.
 
     Returns the ``(normal, psi)`` after each of the three stages. The swarm
-    is skipped and repeats the previous point when ``pso_config`` is None.
+    draws its random particles from ``swarm_seed``; it is skipped and
+    repeats the previous point when ``pso_config`` is None.
     The polish is projected gradient descent when given a ``GdConfig`` and
     the Newton polish (``newton_refine``) when given None. A stage that
     fails to improve falls back to the previous point, so psi never
@@ -665,9 +665,9 @@ def search_normal(
         psi = evaluator.value(normal)
         return stages[-1] if psi > stages[-1][1] else (normal, psi)
 
-    stages.append(
-        stages[-1] if pso_config is None else no_worse(pso_minimize(reduced, c_star, starts, pso_config))
-    )
+    stages.append(stages[-1] if pso_config is None else no_worse(
+        pso_minimize(reduced, c_star, starts, pso_config, swarm_seed)
+    ))
     start = stages[-1][0]
     stages.append(no_worse(
         newton_refine(start, reduced, c_star)
@@ -687,24 +687,26 @@ def run_correction(
 ) -> tuple[HsiCube, CorrectionReport]:
     """End-to-end scale correction of a cube with K endmembers.
 
-    Deterministic given the seed. With ``k == 1`` the hyperplane collapses
+    ``rng_seed`` is the one seed: the candidate draws and the swarm's
+    particles each take a child stream of it, so equal arguments give
+    bit-identical results. With ``k == 1`` the hyperplane collapses
     to a point and the correction degenerates to dividing each pixel by
     its magnitude ratio against the mean; the search then has the one
     normal, which neither the swarm nor the polish moves, and the report
-    flags this mode. Without configs the search is a ``swarm_config``
+    flags this mode. Without configs the search is a default ``PsoConfig``
     swarm followed by the Newton polish.
     """
     reduced = svd_reduce(cube, k)
     c_star = mean_point(reduced)
+    candidate_seed, swarm_seed = derive_seeds(rng_seed)
     if k == 1:
         starts, pso_config, gd_config = [np.ones(1)], None, None
     else:
-        starts = candidate_normals(reduced, c_star, candidate_count, derive_seeds(rng_seed)[0])
-        if pso_config is None:
-            pso_config = swarm_config(rng_seed)
+        starts = candidate_normals(reduced, c_star, candidate_count, candidate_seed)
+        pso_config = pso_config or PsoConfig()
 
     (_, psi_initial), (_, psi_after_pso), (normal, psi_final) = search_normal(
-        reduced, c_star, starts, pso_config, gd_config
+        reduced, c_star, starts, pso_config, gd_config, swarm_seed
     )
     model = HyperplaneModel.build(c_star, normal, denom_floor_for(reduced.pixels))
     mu_hat = estimate_scaling(reduced, model)
@@ -715,9 +717,7 @@ def run_correction(
         psi_initial=psi_initial,
         psi_after_pso=psi_after_pso,
         psi_final=psi_final,
-        clamped_pixels=mu_hat.clamped_count,
         candidate_count=0 if k == 1 else len(starts),
         seed=rng_seed,
-        degenerate_mode=k == 1,
     )
     return corrected, report

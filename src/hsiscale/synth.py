@@ -27,6 +27,8 @@ FIELD_KINDS = ("matern", "spheric")
 MIN_ENDMEMBER_SAD = 0.1
 MAX_RESAMPLES = 100
 SCALE_CLAMP = 0.1
+# smoothness of the Matern covariance fields
+MATERN_NU = 1.5
 # role indices for per-generator seed streams, so calling a generator
 # directly or through gen_scene yields the same draws
 _ROLE_ENDMEMBERS, _ROLE_ABUNDANCE, _ROLE_SCALING, _ROLE_NOISE = range(4)
@@ -42,7 +44,6 @@ class SynthConfig:
     endmembers: int
     field_kind: str = "matern"
     correlation_length: float = 3.0
-    matern_nu: float = 1.5
     scale_std: float = 0.3
     scale_correlation_length: float = 6.0
     seed: int = 0
@@ -61,8 +62,6 @@ class SynthConfig:
             raise ValidationError("scale_std must lie in [0, 0.5]")
         if self.correlation_length <= 0 or self.scale_correlation_length <= 0:
             raise ValidationError("correlation lengths must be positive")
-        if self.matern_nu <= 0:
-            raise ValidationError("matern_nu must be positive")
 
     @property
     def n_pixels(self) -> int:
@@ -86,7 +85,7 @@ def _role_rng(seed: int, role: int) -> np.random.Generator:
 def _covariance_fn(config: SynthConfig, corr_length: float):
     if config.field_kind == "spheric":
         return partial(spherical_covariance, corr_length=corr_length)
-    return partial(matern_covariance, corr_length=corr_length, nu=config.matern_nu)
+    return partial(matern_covariance, corr_length=corr_length, nu=MATERN_NU)
 
 
 def _unit_curve(bands: int, rng: np.random.Generator) -> np.ndarray:

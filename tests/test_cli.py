@@ -12,7 +12,7 @@ import pytest
 import hsiscale
 from hsiscale import HsiCube
 from hsiscale.cli import _hash_file, fnv1a64, main
-from hsiscale.correct import GdConfig, run_correction, swarm_config
+from hsiscale.correct import GdConfig, PsoConfig, run_correction
 from hsiscale.fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
 
 
@@ -143,8 +143,7 @@ def correct_with_cli(tmp_path, scene, flags):
 
 def assert_same_correction(cli_result, library_report):
     report, mu = cli_result
-    psi = (library_report.psi_initial, library_report.psi_after_pso, library_report.psi_final)
-    assert (report["psi_initial"], report["psi_after_pso"], report["psi_final"]) == psi
+    assert report == library_report.to_json_dict()
     assert np.array_equal(mu, library_report.mu_hat.values.astype(np.float32))
 
 
@@ -163,7 +162,7 @@ def test_correct_explicit_search_is_swarm_then_gd(tmp_path):
     )
     _, report = run_correction(
         read_cube(scene / "scaled.hsic"), 3,
-        pso_config=swarm_config(7, 20), gd_config=GdConfig(50), candidate_count=64, rng_seed=7,
+        pso_config=PsoConfig(iterations=20), gd_config=GdConfig(50), candidate_count=64, rng_seed=7,
     )
     assert_same_correction(cli_result, report)
 
@@ -171,23 +170,16 @@ def test_correct_explicit_search_is_swarm_then_gd(tmp_path):
 K_TOO_LARGE = "usage error: --endmembers 99 exceeds min(bands=14, pixels=256)"
 
 
-def test_correct_k_too_large_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["correct", "ablate", "unmix"])
+def test_k_too_large_usage_error(tmp_path, capsys, command):
     scene = synth(tmp_path)
-    code = main([
-        "correct", "--input", str(scene / "scaled.hsic"), "--endmembers", "99",
-        "--out", str(tmp_path / "x.hsic"), "--mu-out", str(tmp_path / "x.f32"),
-    ])
-    assert code == 2
-    assert K_TOO_LARGE in capsys.readouterr().err
-
-
-def test_ablate_k_too_large_usage_error(tmp_path, capsys):
-    scene = synth(tmp_path)
-    out = tmp_path / "ablate.json"
-    code = main([
-        "ablate", "--input", str(scene / "scaled.hsic"), "--truth-mu", str(scene / "mu_true.f32"),
-        "--endmembers", "99", "--out", str(out),
-    ])
+    out = tmp_path / "out"
+    flags = {
+        "correct": ["--out", str(out), "--mu-out", str(tmp_path / "x.f32")],
+        "ablate": ["--truth-mu", str(scene / "mu_true.f32"), "--out", str(out)],
+        "unmix": ["--extract", "nfindr", "--out", str(out)],
+    }[command]
+    code = main([command, "--input", str(scene / "scaled.hsic"), "--endmembers", "99", *flags])
     assert code == 2
     assert K_TOO_LARGE in capsys.readouterr().err
     assert not out.exists()

@@ -35,7 +35,6 @@ from hsiscale.correct import (
     CorrectionReport,
     _PsiEvaluator,
     denom_floor_for,
-    derive_seeds,
 )
 from conftest import grid_search_psi, make_line_data
 
@@ -172,7 +171,7 @@ def filter_scenes():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_candidate_filter_matches_reference_on_benchmark_scenes(filter_scenes, scene, seed):
     # 200 requested: both scenes run out of the 4000-draw budget first
-    got = assert_same_candidates(filter_scenes[scene], 200, derive_seeds(seed)[0])
+    got = assert_same_candidates(filter_scenes[scene], 200, seed)
     assert 1 <= len(got) < 200
 
 
@@ -559,7 +558,7 @@ def test_pso_single_particle_at_optimum_stays():
     n_star = gd_refine(
         np.array([math.cos(theta_star), math.sin(theta_star)]), reduced, c_star, GdConfig()
     )
-    out = pso_minimize(reduced, c_star, [n_star], PsoConfig(swarm_size=2, iterations=40, seed=0))
+    out = pso_minimize(reduced, c_star, [n_star], PsoConfig(swarm_size=2, iterations=40), seed=0)
     assert np.array_equal(out, n_star)
 
 
@@ -568,7 +567,7 @@ def test_pso_beats_every_candidate():
     c_star = mean_point(reduced)
     evaluator = _PsiEvaluator(reduced, c_star)
     cands = candidate_normals(reduced, c_star, 20, rng_seed=14)
-    out = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=32, iterations=60, seed=1))
+    out = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=32, iterations=60), seed=1)
     best_cand = min(evaluator.value(c) for c in cands)
     assert evaluator.value(out) <= best_cand + 1e-12
 
@@ -583,7 +582,7 @@ def test_pso_all_invalid_particles_fail():
 
     with pytest.raises(OptimizationError):
         pso_minimize(
-            reduced, c_star, [np.array([1.0, 0.0])], PsoConfig(swarm_size=4, iterations=5, seed=0)
+            reduced, c_star, [np.array([1.0, 0.0])], PsoConfig(swarm_size=4, iterations=5), seed=0
         )
 
 
@@ -591,9 +590,9 @@ def test_pso_deterministic():
     reduced, _, _ = make_line_data(n_pixels=128, mu_std=0.3, seed=15)
     c_star = mean_point(reduced)
     cands = candidate_normals(reduced, c_star, 8, rng_seed=16)
-    config = PsoConfig(swarm_size=16, iterations=30, seed=42)
-    a = pso_minimize(reduced, c_star, cands, config)
-    b = pso_minimize(reduced, c_star, cands, config)
+    config = PsoConfig(swarm_size=16, iterations=30)
+    a = pso_minimize(reduced, c_star, cands, config, seed=42)
+    b = pso_minimize(reduced, c_star, cands, config, seed=42)
     assert np.array_equal(a, b)
 
 
@@ -601,7 +600,7 @@ def test_pso_grid_oracle_equivalence():
     reduced, _, _ = make_line_data(n_pixels=1024, mu_std=0.3, seed=17)
     c_star = mean_point(reduced)
     cands = candidate_normals(reduced, c_star, 60, rng_seed=18)
-    n_pso = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=64, iterations=120, seed=2))
+    n_pso = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=64, iterations=120), seed=2)
     n_best = gd_refine(n_pso, reduced, c_star, GdConfig())
     psi_final = objective_psi(n_best, reduced, c_star)
     psi_grid, _ = grid_search_psi(reduced, c_star)
@@ -703,7 +702,6 @@ def test_report_monotonicity_enforced():
             psi_initial=1.0,
             psi_after_pso=2.0,
             psi_final=0.5,
-            clamped_pixels=0,
             candidate_count=1,
             seed=0,
         )
@@ -719,9 +717,8 @@ def small_scene(std, seed, h=24, w=24, bands=20, k=3):
 
 
 def fast_configs(seed=0):
-    cand, pso_seed = derive_seeds(seed)
     return dict(
-        pso_config=PsoConfig(swarm_size=64, iterations=60, seed=pso_seed),
+        pso_config=PsoConfig(swarm_size=64, iterations=60),
         gd_config=GdConfig(max_iters=200),
         candidate_count=64,
         rng_seed=seed,
@@ -736,7 +733,7 @@ def test_search_without_stages_returns_best_start():
     starts = candidate_normals(reduced, c_star, 12, rng_seed=20)
     evaluator = _PsiEvaluator(reduced, c_star)
     best = int(np.argmin([evaluator.value(n) for n in starts]))
-    stages = search_normal(reduced, c_star, starts, None, None)
+    stages = search_normal(reduced, c_star, starts, None, None, 0)
     assert len(stages) == 3
     for normal, psi in stages[:2]:
         assert normal is starts[best]
@@ -752,9 +749,9 @@ def test_search_swarm_never_reports_above_best_start(seed):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=21 + seed)
     c_star = mean_point(reduced)
     starts = candidate_normals(reduced, c_star, 6, rng_seed=seed)
-    config = PsoConfig(swarm_size=4, iterations=3, seed=seed)
+    config = PsoConfig(swarm_size=4, iterations=3)
     (_, psi_start), (normal, psi_swarm), (_, psi_final) = search_normal(
-        reduced, c_star, starts, config, None
+        reduced, c_star, starts, config, None, seed
     )
     assert psi_final <= psi_swarm <= psi_start
     assert psi_swarm == _PsiEvaluator(reduced, c_star).value(normal)
@@ -768,7 +765,7 @@ def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
     worst = starts[int(np.argmax(values))]
     monkeypatch.setattr(correct_module, "pso_minimize", lambda *args: worst)
     monkeypatch.setattr(correct_module, "gd_refine", lambda *args: worst)
-    stages = search_normal(reduced, c_star, starts, PsoConfig(), GdConfig())
+    stages = search_normal(reduced, c_star, starts, PsoConfig(), GdConfig(), 0)
     best = starts[int(np.argmin(values))]
     assert max(values) > min(values)
     assert all(normal is best and psi == min(values) for normal, psi in stages)
@@ -781,24 +778,46 @@ def test_search_falls_back_when_the_newton_polish_does_worse(monkeypatch):
     values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
     worst = starts[int(np.argmax(values))]
     monkeypatch.setattr(correct_module, "newton_refine", lambda *args: worst)
-    stages = search_normal(reduced, c_star, starts, None, None)
+    stages = search_normal(reduced, c_star, starts, None, None, 0)
     assert stages[2][0] is stages[1][0] and stages[2][1] == stages[1][1]
 
 
-def test_run_correction_reports_the_search_stages():
+def test_run_correction_reports_the_search_stages(monkeypatch):
     scene = small_scene(0.3, seed=6)
     configs = fast_configs(8)
+    real_search, calls = correct_module.search_normal, []
+
+    def spy_search(*args):
+        calls.append((args, real_search(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(correct_module, "search_normal", spy_search)
     _, report = run_correction(scene.scaled_cube, 3, **configs)
-    reduced = svd_reduce(scene.scaled_cube, 3)
-    c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, c_star, configs["candidate_count"], derive_seeds(8)[0])
-    stages = search_normal(reduced, c_star, starts, configs["pso_config"], configs["gd_config"])
+    [((reduced, c_star, starts, pso_config, gd_config, _), stages)] = calls
+    assert (pso_config, gd_config) == (configs["pso_config"], configs["gd_config"])
+    assert len(starts) == report.candidate_count
     assert (report.psi_initial, report.psi_after_pso, report.psi_final) == tuple(
         psi for _, psi in stages
     )
     assert np.array_equal(report.model.normal, HyperplaneModel.build(
         c_star, stages[2][0], denom_floor_for(reduced.pixels)
     ).normal)
+
+
+def test_rng_seed_drives_the_swarm_with_or_without_a_config(monkeypatch):
+    # one seed per correction: passing a PsoConfig does not change the swarm's stream
+    scene = small_scene(0.3, seed=6)
+    real_pso, seeds = correct_module.pso_minimize, []
+
+    def spy_pso(reduced, c_star, initial_normals, config, seed):
+        seeds.append(seed)
+        return real_pso(reduced, c_star, initial_normals, config, seed)
+
+    monkeypatch.setattr(correct_module, "pso_minimize", spy_pso)
+    for rng_seed in (1, 2):
+        for pso_config in (None, PsoConfig(iterations=2)):
+            run_correction(scene.scaled_cube, 3, pso_config, candidate_count=16, rng_seed=rng_seed)
+    assert seeds[0] == seeds[1] != seeds[2] == seeds[3]
 
 
 @pytest.mark.parametrize("snr_db, k", [(25.0, 6), (40.0, 5)])
@@ -815,11 +834,11 @@ def test_default_swarm_holds_the_accepted_candidates(monkeypatch, snr_db, k):
         runs[-1]["rows"].append(normals.shape[0])
         return real_batch(evaluator, normals)
 
-    def spy_pso(reduced, c_star, initial_normals, config):
+    def spy_pso(reduced, c_star, initial_normals, config, seed):
         runs.append({"starts": len(initial_normals), "rows": []})
         monkeypatch.setattr(_PsiEvaluator, "batch", spy_batch)
         try:
-            return real_pso(reduced, c_star, initial_normals, config)
+            return real_pso(reduced, c_star, initial_normals, config, seed)
         finally:
             monkeypatch.setattr(_PsiEvaluator, "batch", real_batch)
 
@@ -866,6 +885,7 @@ def test_run_correction_degenerate_k1():
     scene = small_scene(0.2, seed=4)
     corrected, report = run_correction(scene.scaled_cube, 1, rng_seed=0)
     assert report.degenerate_mode
+    assert report.to_json_dict()["degenerate_mode"] is True
     assert report.candidate_count == 0
     assert report.psi_initial == report.psi_after_pso == report.psi_final
     assert corrected.data.shape == scene.scaled_cube.data.shape

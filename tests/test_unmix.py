@@ -30,6 +30,7 @@ from hsiscale import (
 )
 from hsiscale.metrics import norm_concentration_ratio
 from hsiscale.unmix import ASC_TOL, ASC_WEIGHT, KKT_TOL, _simplex_volume
+from conftest import make_line_data
 
 # the package attribute ``hsiscale.unmix`` is the function, not the module
 unmix_module = importlib.import_module("hsiscale.unmix")
@@ -128,7 +129,7 @@ def benchmark_scene():
     as the CLI stores it (float32), and the endmembers N-FINDR finds there."""
     scene = gen_scene(SynthConfig(height=128, width=128, bands=100, endmembers=5, scale_std=0.3, seed=7))
     corrected, _ = run_correction(
-        scene.scaled_cube, 5, pso_config=PsoConfig(swarm_size=64, iterations=20, seed=7),
+        scene.scaled_cube, 5, pso_config=PsoConfig(iterations=20),
         gd_config=GdConfig(max_iters=50), candidate_count=64, rng_seed=7,
     )
     corrected = HsiCube(corrected.data.astype(np.float32).astype(np.float64))
@@ -273,6 +274,14 @@ def test_nfindr_recovers_pure_corners():
     assert np.allclose(found[:, perm], m, atol=1e-8)
 
 
+def test_nfindr_two_endmembers_are_the_line_ends():
+    # at k=2 each vertex's hull is the other vertex alone, a point with no span
+    reduced, _, _ = make_line_data(n_pixels=64, mu_std=0.0, seed=9)
+    ends = reduced.pixels[:, np.argsort(reduced.pixels[0])[[0, -1]]]
+    found = nfindr_extract(reduced, 2, seed=0)
+    assert np.array_equal(found[:, np.argsort(found[0])], ends)
+
+
 def test_nfindr_local_optimality():
     cube, _ = corners_and_mixtures(seed=7, n_mix=40)
     reduced = svd_reduce(cube, 3)
@@ -327,7 +336,7 @@ def test_nfindr_correction_improves_sad():
         corrected, _ = run_correction(
             scene.scaled_cube,
             k,
-            pso_config=PsoConfig(swarm_size=96, iterations=100, seed=seed),
+            pso_config=PsoConfig(swarm_size=96, iterations=100),
             gd_config=GdConfig(),
             candidate_count=96,
             rng_seed=seed,
