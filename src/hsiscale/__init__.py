@@ -11,7 +11,6 @@ from .correct import (
     correct_pixels,
     estimate_scaling,
     gd_refine,
-    mean_point,
     newton_refine,
     objective_psi,
     pso_minimize,

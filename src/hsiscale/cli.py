@@ -27,7 +27,6 @@ from .correct import (
     candidate_normals,
     denom_floor_for,
     estimate_scaling,
-    mean_point,
     run_correction,
     search_normal,
 )
@@ -98,6 +97,26 @@ def _config_dict(args: argparse.Namespace) -> dict:
 def _usage_error(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 2
+
+
+def _int_at_least(low: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed: numpy's seeds are non-negative."""
+    return _int_at_least(0, text)
+
+
+def _count(text: str) -> int:
+    """argparse type of the endmember, candidate, iteration and replicate counts."""
+    return _int_at_least(1, text)
 
 
 def _endmember_bound_error(k: int, cube) -> int | None:
@@ -186,6 +205,11 @@ def cmd_unmix(args) -> int:
 
     if args.endmember_file is not None:
         endmembers = _read_finite_csv(args.endmember_file)
+        if endmembers.shape[1] != args.endmembers:
+            return _usage_error(
+                f"--endmembers {args.endmembers} does not match the "
+                f"{endmembers.shape[1]} columns of {args.endmember_file}"
+            )
         manifest.add_input(args.endmember_file)
     else:
         if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
@@ -280,7 +304,6 @@ def cmd_ablate(args) -> int:
         return code
 
     reduced = svd_reduce(cube, args.endmembers)
-    c_star = mean_point(reduced)
     floor = denom_floor_for(reduced.pixels)
     gd = GdConfig(max_iters=args.gd_iters)
     # its own four streams, not run_correction's: other seeds would re-seed criterion 4's results
@@ -288,7 +311,7 @@ def cmd_ablate(args) -> int:
     seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
 
     def score(stage) -> float:
-        model = HyperplaneModel.build(c_star, stage[0], floor)
+        model = HyperplaneModel.build(reduced.mean_pixel, stage[0], floor)
         return rmse_mu(estimate_scaling(reduced, model), truth)
 
     def random_units(seed, count):
@@ -297,18 +320,18 @@ def cmd_ablate(args) -> int:
 
     # each variant is a cut of the one search. (a) refinement alone from
     # one random direction
-    *_, gd_only = search_normal(reduced, c_star, random_units(seed_ints[0], 1), None, gd, seed_ints[2])
+    *_, gd_only = search_normal(reduced, random_units(seed_ints[0], 1), None, gd, seed_ints[2])
     # (b) swarm from random directions, then refinement; without
     # candidates the swarm stays at its base size
     pso_b = PsoConfig(iterations=args.pso_iters)
     *_, pso_random_gd = search_normal(
-        reduced, c_star, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd, seed_ints[2]
+        reduced, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd, seed_ints[2]
     )
     # (c) candidate-seeded swarm without refinement and (d) the full
     # search are two points of one run
-    candidates = candidate_normals(reduced, c_star, args.candidates, seed_ints[3])
+    candidates = candidate_normals(reduced, args.candidates, seed_ints[3])
     pso_cd = PsoConfig(swarm_size=max(64, args.candidates), iterations=args.pso_iters)
-    _, candidates_pso, full = search_normal(reduced, c_star, candidates, pso_cd, gd, seed_ints[2])
+    _, candidates_pso, full = search_normal(reduced, candidates, pso_cd, gd, seed_ints[2])
 
     results = {
         "gd_only": score(gd_only),
@@ -338,8 +361,6 @@ def cmd_sweep(args) -> int:
         return _usage_error(f"cannot parse --stds {args.stds!r}")
     if not stds:
         return _usage_error("--stds must list at least one value")
-    if args.seeds < 1:
-        return _usage_error("--seeds must be >= 1")
 
     manifest = _ManifestWriter("sweep", _config_dict(args), args.seed)
     rows = []
@@ -391,15 +412,15 @@ def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--height", type=int, default=128)
     parser.add_argument("--width", type=int, default=128)
     parser.add_argument("--bands", type=int, default=100)
-    parser.add_argument("--endmembers", type=int, default=5)
+    parser.add_argument("--endmembers", type=_count, default=5)
     parser.add_argument("--corr-len", type=float, default=3.0, dest="corr_len")
     parser.add_argument("--scale-corr-len", type=float, default=6.0, dest="scale_corr_len")
 
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser, pso_iters: int, gd_iters: int | None) -> None:
-    parser.add_argument("--candidates", type=int, default=200)
-    parser.add_argument("--pso-iters", type=int, default=pso_iters, dest="pso_iters")
-    parser.add_argument("--gd-iters", type=int, default=gd_iters, dest="gd_iters")
+    parser.add_argument("--candidates", type=_count, default=200)
+    parser.add_argument("--pso-iters", type=_count, default=pso_iters, dest="pso_iters")
+    parser.add_argument("--gd-iters", type=_count, default=gd_iters, dest="gd_iters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,17 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_flags(p)
     p.add_argument("--scale-std", type=float, default=0.3, dest="scale_std")
     p.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("correct", help="estimate scale factors and correct a cube")
     p.add_argument("--input", required=True)
-    p.add_argument("--endmembers", type=int, required=True)
+    p.add_argument("--endmembers", type=_count, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mu-out", required=True, dest="mu_out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     _add_optimizer_flags(p, PsoConfig.iterations, None)
     _add_common(p)
@@ -431,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unmix", help="endmember extraction and constrained abundances")
     p.add_argument("--input", required=True)
-    p.add_argument("--endmembers", type=int, required=True)
+    p.add_argument("--endmembers", type=_count, required=True)
     p.add_argument("--endmember-file", default=None, dest="endmember_file")
     p.add_argument("--extract", choices=("nfindr",), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_unmix)
@@ -453,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="compare optimizer configurations on one cube")
     p.add_argument("--input", required=True)
     p.add_argument("--truth-mu", required=True, dest="truth_mu")
-    p.add_argument("--endmembers", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--endmembers", type=_count, required=True)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", default=None, dest="plot_data")
     # criterion 4 measures the variants at these lengths
@@ -464,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error vs scale-std curve over seeded scenes")
     p.add_argument("--stds", required=True)
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", type=_count, default=3)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", default=None, dest="plot_data")
     _add_scene_flags(p)
-    p.add_argument("--candidates", type=int, default=200)
-    p.add_argument("--pso-iters", type=int, default=PsoConfig.iterations, dest="pso_iters")
+    p.add_argument("--candidates", type=_count, default=200)
+    p.add_argument("--pso-iters", type=_count, default=PsoConfig.iterations, dest="pso_iters")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

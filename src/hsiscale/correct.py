@@ -7,7 +7,7 @@ reads each pixel's scale factor off the ray/hyperplane intersection, and
 divides it out:
 
 1. reduce the cube to the K-dimensional dominant subspace,
-2. anchor the hyperplane at the mean reduced pixel,
+2. anchor the hyperplane at the mean reduced pixel, ``ReducedData.mean_pixel``,
 3. seed a swarm with candidate normals solved from random pixel K-sets;
    it holds every accepted candidate, topped up to 64 particles with
    random directions,
@@ -155,6 +155,8 @@ class ScalingField:
     def from_raw(values: np.ndarray) -> "ScalingField":
         """Clamp to ``MU_FLOOR``, renormalize to mean one, count clamp events."""
         mu = np.asarray(values, dtype=np.float64).copy()
+        if mu.ndim != 1 or mu.size < 1:
+            raise DimensionError("scaling field must be a non-empty 1-D vector")
         if not np.all(np.isfinite(mu)):
             bad = int(np.argmax(~np.isfinite(mu)))
             raise NumericError("non-finite scaling factor", pixel_index=bad)
@@ -249,29 +251,24 @@ def derive_seeds(rng_seed: int) -> tuple[int, int]:
     return tuple(int(s.generate_state(1)[0]) for s in children)
 
 
-def mean_point(reduced: ReducedData) -> np.ndarray:
-    """Mean of the reduced pixels, summed compensated per coordinate."""
-    n = reduced.n_pixels
-    return np.array([math.fsum(row) / n for row in reduced.pixels])
-
-
 def denom_floor_for(pixels: np.ndarray) -> float:
     """Orthogonality threshold scaled to the data magnitude."""
     return DENOM_FLOOR_REL * float(np.mean(np.linalg.norm(pixels, axis=0)))
 
 
-def objective_psi(normal: np.ndarray, reduced: ReducedData, c_star: np.ndarray) -> float:
+def objective_psi(normal: np.ndarray, reduced: ReducedData) -> float:
     """Sum of squared distances between pixels and their ray projections.
 
     Each pixel is projected along its ray from the origin onto the
-    hyperplane defined by (c_star, normal); the residual is the leftover
-    displacement. Pixels whose scale ratio falls under ``MU_FLOOR`` enter
-    with the clamped ratio. Invariant to rescaling or flipping ``normal``.
+    hyperplane through ``reduced.mean_pixel`` with that normal; the
+    residual is the leftover displacement. Pixels whose scale ratio falls
+    under ``MU_FLOOR`` enter with the clamped ratio. Invariant to
+    rescaling or flipping ``normal``.
     """
     normal = np.asarray(normal, dtype=np.float64)
     if normal.shape != (reduced.k,):
         raise DimensionError(f"normal must have shape ({reduced.k},), got {normal.shape}")
-    psi = _PsiEvaluator(reduced, c_star).value(normal)
+    psi = _PsiEvaluator(reduced, reduced.mean_pixel).value(normal)
     if psi == math.inf:
         raise NearOrthogonalNormalError("normal is orthogonal to the anchor point")
     return psi
@@ -366,7 +363,7 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     return dists[..., i, j]
 
 
-def candidate_normals(reduced: ReducedData, c_star: np.ndarray, count: int, rng_seed: int) -> list[np.ndarray]:
+def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
     """Solve hyperplane normals from random well-separated pixel K-sets.
 
     Each candidate solves ``B.T @ n = 1`` where B stacks K sampled reduced
@@ -405,7 +402,7 @@ def candidate_normals(reduced: ReducedData, c_star: np.ndarray, count: int, rng_
         # numpy's cond reads a 0/0 ratio as inf, not nan, so the test rejects it
         for b in sets[np.linalg.cond(sets) <= CANDIDATE_MAX_COND]:
             try:
-                model = HyperplaneModel.build(c_star, np.linalg.solve(b.T, ones), floor)
+                model = HyperplaneModel.build(reduced.mean_pixel, np.linalg.solve(b.T, ones), floor)
             except (np.linalg.LinAlgError, ValidationError, NearOrthogonalNormalError):
                 continue
             accepted.append(model.normal)
@@ -420,7 +417,6 @@ def candidate_normals(reduced: ReducedData, c_star: np.ndarray, count: int, rng_
 
 def pso_minimize(
     reduced: ReducedData,
-    c_star: np.ndarray,
     initial_normals: list[np.ndarray],
     config: PsoConfig,
     seed: int,
@@ -437,7 +433,7 @@ def pso_minimize(
     if not initial_normals:
         raise ValidationError("at least one initial normal is required")
     k = reduced.k
-    evaluator = _PsiEvaluator(reduced, c_star)
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
 
     n_particles = max(config.swarm_size, len(initial_normals))
     v_max = _PSO_VELOCITY_CLAMP * 2.0
@@ -499,7 +495,6 @@ def pso_minimize(
 def gd_refine(
     start_normal: np.ndarray,
     reduced: ReducedData,
-    c_star: np.ndarray,
     config: GdConfig,
 ) -> np.ndarray:
     """Polish a normal by projected gradient descent on the unit sphere.
@@ -508,7 +503,7 @@ def gd_refine(
     current normal; steps use Armijo backtracking and renormalize back
     onto the sphere. The result never scores worse than the start.
     """
-    evaluator = _PsiEvaluator(reduced, c_star)
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
     n = np.asarray(start_normal, dtype=np.float64)
     norm = np.linalg.norm(n)
     if norm == 0 or n.shape != (reduced.k,):
@@ -553,7 +548,7 @@ def _tangent_basis(normal: np.ndarray) -> np.ndarray:
     return reflection[:, 1:]
 
 
-def newton_refine(start_normal: np.ndarray, reduced: ReducedData, c_star: np.ndarray) -> np.ndarray:
+def newton_refine(start_normal: np.ndarray, reduced: ReducedData) -> np.ndarray:
     """Polish a normal by damped Newton steps in the anchor's affine chart.
 
     The objective depends only on the hyperplane, not on the normal's
@@ -574,7 +569,7 @@ def newton_refine(start_normal: np.ndarray, reduced: ReducedData, c_star: np.nda
     if norm == 0 or n.shape != (reduced.k,):
         raise ValidationError("start normal must be a nonzero K-vector")
     n = n / norm
-    evaluator = _PsiEvaluator(reduced, c_star)
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
     psi = evaluator.value(n)
     if not math.isfinite(psi):
         return start_normal
@@ -640,7 +635,6 @@ def apply_scaling(cube: HsiCube, mu: ScalingField) -> HsiCube:
 
 def search_normal(
     reduced: ReducedData,
-    c_star: np.ndarray,
     starts: list[np.ndarray],
     pso_config: PsoConfig | None,
     gd_config: GdConfig | None,
@@ -656,7 +650,7 @@ def search_normal(
     fails to improve falls back to the previous point, so psi never
     increases. Every psi goes through the same evaluation path.
     """
-    evaluator = _PsiEvaluator(reduced, c_star)
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
     values = [evaluator.value(n) for n in starts]
     best = int(np.argmin(values))
     stages = [(starts[best], values[best])]
@@ -666,13 +660,13 @@ def search_normal(
         return stages[-1] if psi > stages[-1][1] else (normal, psi)
 
     stages.append(stages[-1] if pso_config is None else no_worse(
-        pso_minimize(reduced, c_star, starts, pso_config, swarm_seed)
+        pso_minimize(reduced, starts, pso_config, swarm_seed)
     ))
     start = stages[-1][0]
     stages.append(no_worse(
-        newton_refine(start, reduced, c_star)
+        newton_refine(start, reduced)
         if gd_config is None
-        else gd_refine(start, reduced, c_star, gd_config)
+        else gd_refine(start, reduced, gd_config)
     ))
     return tuple(stages)
 
@@ -697,18 +691,17 @@ def run_correction(
     swarm followed by the Newton polish.
     """
     reduced = svd_reduce(cube, k)
-    c_star = mean_point(reduced)
     candidate_seed, swarm_seed = derive_seeds(rng_seed)
     if k == 1:
         starts, pso_config, gd_config = [np.ones(1)], None, None
     else:
-        starts = candidate_normals(reduced, c_star, candidate_count, candidate_seed)
+        starts = candidate_normals(reduced, candidate_count, candidate_seed)
         pso_config = pso_config or PsoConfig()
 
     (_, psi_initial), (_, psi_after_pso), (normal, psi_final) = search_normal(
-        reduced, c_star, starts, pso_config, gd_config, swarm_seed
+        reduced, starts, pso_config, gd_config, swarm_seed
     )
-    model = HyperplaneModel.build(c_star, normal, denom_floor_for(reduced.pixels))
+    model = HyperplaneModel.build(reduced.mean_pixel, normal, denom_floor_for(reduced.pixels))
     mu_hat = estimate_scaling(reduced, model)
     corrected = correct_pixels(cube, mu_hat)
     report = CorrectionReport(

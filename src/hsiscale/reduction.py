@@ -7,6 +7,8 @@ mean-subtracted PCA here would break every downstream step.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,8 @@ class ReducedData:
     """Pixels projected onto the dominant subspace.
 
     ``basis`` has orthonormal rows (top singular directions of the pixel
-    matrix, one per row); ``pixels`` is ``basis @ raw_pixels``.
+    matrix, one per row); ``pixels`` is ``basis @ raw_pixels``;
+    ``mean_pixel`` is the mean reduced pixel c*, the correction's anchor.
     """
 
     basis: np.ndarray            # (K, L), orthonormal rows
@@ -63,6 +66,13 @@ class ReducedData:
     @property
     def n_pixels(self) -> int:
         return self.pixels.shape[1]
+
+    @functools.cached_property
+    def mean_pixel(self) -> np.ndarray:
+        """Mean of the reduced pixels, summed compensated per coordinate; read-only."""
+        mean = np.array([math.fsum(row) / self.n_pixels for row in self.pixels])
+        mean.setflags(write=False)
+        return mean
 
 
 def _fix_row_signs(basis: np.ndarray, mean_pixel: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from hsiscale import (
     gen_scene,
     hyperplane_placement_error,
     match_endmembers,
-    mean_point,
     nfindr_extract,
     objective_psi,
     read_cube,
@@ -120,7 +119,7 @@ def test_criterion_3_oracle_equivalence():
         scene = gen_scene(config)
         _, rep = run_correction(scene.scaled_cube, 2, rng_seed=seed + 200)
         reduced = svd_reduce(scene.scaled_cube, 2)
-        psi_grid, _ = grid_search_psi(reduced, mean_point(reduced), step=0.0005)
+        psi_grid, _ = grid_search_psi(reduced, reduced.mean_pixel, step=0.0005)
         rel = abs(rep.psi_final - psi_grid) / psi_grid
         worst = max(worst, rel)
     passed = worst < 1e-6
@@ -203,14 +202,13 @@ def test_criterion_5_fcls_improvement():
 
 def test_criterion_6a_objective_scale_sign_invariance():
     reduced, _, _ = make_line_data(n_pixels=200, mu_std=0.3, seed=31)
-    c_star = mean_point(reduced)
     rng = np.random.default_rng(32)
     worst = 0.0
     for _ in range(10):
         n = rng.standard_normal(2)
-        base = objective_psi(n, reduced, c_star)
+        base = objective_psi(n, reduced)
         for alpha in (-2.0, 0.5, 10.0):
-            worst = max(worst, abs(objective_psi(alpha * n, reduced, c_star) - base) / base)
+            worst = max(worst, abs(objective_psi(alpha * n, reduced) - base) / base)
     passed = worst < 1e-12
     report("6a [objective invariance]", passed, f"worst relative change={worst:.2e}")
     assert passed
@@ -222,7 +220,7 @@ def test_criterion_6b_mean_one_identity():
     worst = 0.0
     for seed in range(5):
         reduced, _, _ = make_line_data(n_pixels=501, mu_std=0.3, seed=seed)
-        c_star = mean_point(reduced)
+        c_star = reduced.mean_pixel
         rng = np.random.default_rng(seed)
         n = rng.standard_normal(2) + 1.0
         model = HyperplaneModel.build(c_star, n, denom_floor_for(reduced.pixels))
@@ -238,7 +236,7 @@ def test_criterion_6c_on_plane_residual():
     scene = gen_scene(config)
     _, rep = run_correction(scene.scaled_cube, 3, rng_seed=34)
     reduced = svd_reduce(scene.scaled_cube, 3)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     corrected_reduced = reduced.pixels / rep.mu_hat.values[None, :]
     residual = np.abs((corrected_reduced - c_star[:, None]).T @ rep.model.normal)
     rel = float(np.max(residual / np.linalg.norm(reduced.pixels, axis=0)))
@@ -252,7 +250,7 @@ def test_criterion_6d_gradient_check():
     worst = 0.0
     for seed in range(20):
         reduced, _, _ = make_line_data(n_pixels=64, mu_std=0.3, seed=seed + 60)
-        c_star = mean_point(reduced)
+        c_star = reduced.mean_pixel
         ev = _PsiEvaluator(reduced, c_star)
         rng = np.random.default_rng(seed)
         n = rng.standard_normal(2) + c_star / np.linalg.norm(c_star)

@@ -572,3 +572,71 @@ def test_sweep_csv_and_usage(tmp_path, capsys):
 
 def test_exit_code_contract_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+CORRECT = "correct --input {scene}/scaled.hsic --endmembers 3 --out {out} --mu-out {root}/mu.f32"
+ABLATE = "ablate --input {scene}/scaled.hsic --truth-mu {scene}/mu_true.f32 --endmembers 3 --out {out}"
+UNMIX = "unmix --input {scene}/clean.hsic --extract nfindr --endmembers 3 --out {out}"
+SWEEP = "sweep --stds 0.1 --height 8 --width 8 --bands 6 --endmembers 2 --out {out}"
+
+# case -> (argv template, exit code, a fragment of stderr); each argv is a
+# complete invocation apart from its one bad value
+CLI_FAILURES = {
+    "synth-negative-seed": ("synth --seed -1 --out {out}", 2, "--seed: must be >= 0, got -1"),
+    "correct-negative-seed": (CORRECT + " --seed -1", 2, "--seed: must be >= 0, got -1"),
+    "unmix-negative-seed": (UNMIX + " --seed -1", 2, "--seed: must be >= 0, got -1"),
+    "ablate-negative-seed": (ABLATE + " --seed -1", 2, "--seed: must be >= 0, got -1"),
+    "sweep-negative-seed": (SWEEP + " --seed -1", 2, "--seed: must be >= 0, got -1"),
+    "synth-zero-endmembers": ("synth --endmembers 0 --out {out}", 2, "--endmembers: must be >= 1, got 0"),
+    "correct-zero-endmembers": (
+        CORRECT.replace("--endmembers 3", "--endmembers 0"), 2, "--endmembers: must be >= 1, got 0"
+    ),
+    "correct-zero-candidates": (CORRECT + " --candidates 0", 2, "--candidates: must be >= 1, got 0"),
+    "correct-zero-pso-iters": (CORRECT + " --pso-iters 0", 2, "--pso-iters: must be >= 1, got 0"),
+    "correct-zero-gd-iters": (CORRECT + " --gd-iters 0", 2, "--gd-iters: must be >= 1, got 0"),
+    "ablate-zero-gd-iters": (ABLATE + " --gd-iters 0", 2, "--gd-iters: must be >= 1, got 0"),
+    "sweep-zero-seeds": (SWEEP + " --seeds 0", 2, "--seeds: must be >= 1, got 0"),
+    "sweep-zero-candidates": (SWEEP + " --candidates 0", 2, "--candidates: must be >= 1, got 0"),
+    "correct-non-integer-seed": (CORRECT + " --seed 1.5", 2, "--seed: invalid int value: '1.5'"),
+    "unmix-endmember-count-mismatch": (
+        "unmix --input {scene}/clean.hsic --endmember-file {scene}/endmembers.csv --endmembers 5 --out {out}",
+        2, "--endmembers 5 does not match the 3 columns of",
+    ),
+    "eval-mu-empty-f32": (
+        "eval mu --pred {root}/empty.f32 --truth {scene}/mu_true.f32", 1, "non-empty 1-D vector"
+    ),
+    "eval-mu-empty-csv": (
+        "eval mu --pred {scene}/mu_true.f32 --truth {root}/empty.csv", 1, "non-empty 1-D vector"
+    ),
+    "ablate-empty-truth-mu": (
+        ABLATE.replace("{scene}/mu_true.f32", "{root}/empty.f32"), 1, "non-empty 1-D vector"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def failure_inputs(tmp_path_factory):
+    """A scene, a 0-row .f32 vector and a 0-row CSV vector."""
+    root = tmp_path_factory.mktemp("failures")
+    assert main(["synth", *SCENE_FLAGS, "--seed", "1", "--out", str(root / "scene")]) == 0
+    save_vector(np.zeros(0), root / "empty.f32")
+    (root / "empty.csv").write_text("0,1\n")
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FAILURES))
+def test_cli_failures_are_structured(failure_inputs, capsys, case):
+    # no failure ends as a traceback: a usage error prints argparse's usage
+    # line first, a runtime error one error[Name] line
+    template, want_code, fragment = CLI_FAILURES[case]
+    root = failure_inputs
+    out = root / case
+    argv = template.format(scene=root / "scene", root=root, out=out).split()
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == want_code
+    first = err.splitlines()[0]
+    assert first.startswith("usage") if code == 2 else first.startswith("error[DimensionError]: "), err
+    assert fragment in err
+    assert not out.exists()

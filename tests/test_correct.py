@@ -21,7 +21,6 @@ from hsiscale import (
     estimate_scaling,
     gd_refine,
     gen_scene,
-    mean_point,
     newton_refine,
     objective_psi,
     pso_minimize,
@@ -48,32 +47,46 @@ def simple_reduced(pixels):
     return ReducedData(basis=np.eye(k), pixels=pixels, singular_values=svals)
 
 
-# ------------------------------------------------------------- mean_point
+# ------------------------------------------------------------- mean_pixel
 
-def test_mean_point_worked_example(worked_reduced):
-    assert np.allclose(mean_point(worked_reduced), [4.0 / 3.0, 2.0 / 3.0], atol=1e-15)
+def test_mean_pixel_worked_example(worked_reduced):
+    assert np.allclose(worked_reduced.mean_pixel, [4.0 / 3.0, 2.0 / 3.0], atol=1e-15)
 
 
-def test_mean_point_identical_pixels():
+def test_mean_pixel_identical_pixels():
     p = np.array([2.0, -1.0, 0.5])
     reduced = simple_reduced(np.tile(p[:, None], (1, 9)))
-    assert np.allclose(mean_point(reduced), p, atol=1e-15)
+    assert np.allclose(reduced.mean_pixel, p, atol=1e-15)
 
 
-def test_mean_point_symmetric_cloud_is_zero():
+def test_mean_pixel_symmetric_cloud_is_zero():
     pts = np.array([[1.0, -1.0, 2.0, -2.0], [0.5, -0.5, -1.0, 1.0]])
     reduced = simple_reduced(pts)
-    c = mean_point(reduced)
+    c = reduced.mean_pixel
     assert np.allclose(c, 0.0, atol=1e-15)
     with pytest.raises(NearOrthogonalNormalError):
         HyperplaneModel.build(c, np.array([1.0, 0.0]), denom_floor_for(pts))
+
+
+def test_mean_pixel_is_a_read_only_cached_fsum_mean(worked_reduced):
+    # on this cloud numpy's pairwise mean differs from the compensated one
+    line_reduced, _, _ = make_line_data(n_pixels=333, mu_std=0.3, seed=1)
+    assert not np.array_equal(line_reduced.mean_pixel, line_reduced.pixels.mean(axis=1))
+    for reduced in (worked_reduced, line_reduced):
+        mean = reduced.mean_pixel
+        assert reduced.mean_pixel is mean
+        assert not mean.flags.writeable
+        with pytest.raises(ValueError):
+            mean[0] = 0.0
+        # bit for bit: each coordinate summed compensated, then divided
+        assert np.array_equal(mean, [math.fsum(row) / reduced.n_pixels for row in reduced.pixels])
 
 
 # -------------------------------------------------------------- candidates
 
 def test_candidate_two_pixel_solve():
     reduced = simple_reduced(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    cands = candidate_normals(reduced, mean_point(reduced), 5, rng_seed=1)
+    cands = candidate_normals(reduced, 5, rng_seed=1)
     for n in cands:
         assert np.allclose(n, [1.0 / SQ2, 1.0 / SQ2], atol=1e-12)
 
@@ -86,19 +99,19 @@ DEGENERATE_MESSAGE = (
 def test_candidate_identical_pixels_degenerate():
     reduced = simple_reduced(np.tile(np.array([[1.0], [1.0]]), (1, 6)))
     with pytest.raises(DegenerateDataError, match=DEGENERATE_MESSAGE):
-        candidate_normals(reduced, mean_point(reduced), 4, rng_seed=0)
+        candidate_normals(reduced, 4, rng_seed=0)
 
 
 def test_candidates_equal_true_normal_without_scaling():
     reduced, true_normal, _ = make_line_data(n_pixels=128, mu_std=0.0, seed=2)
-    cands = candidate_normals(reduced, mean_point(reduced), 32, rng_seed=3)
+    cands = candidate_normals(reduced, 32, rng_seed=3)
     for n in cands:
         assert min(np.linalg.norm(n - true_normal), np.linalg.norm(n + true_normal)) < 1e-8
 
 
 def test_candidate_count_respected():
     reduced, _, _ = make_line_data(n_pixels=200, mu_std=0.2, seed=4)
-    cands = candidate_normals(reduced, mean_point(reduced), 17, rng_seed=5)
+    cands = candidate_normals(reduced, 17, rng_seed=5)
     assert 1 <= len(cands) <= 17
 
 
@@ -107,7 +120,7 @@ def candidate_reference(reduced, count, rng_seed):
     k, n = reduced.k, reduced.n_pixels
     pixels = reduced.pixels
     rng = np.random.default_rng(rng_seed)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     floor = denom_floor_for(pixels)
 
     def pairwise(points):
@@ -144,9 +157,9 @@ def assert_same_candidates(reduced, count, rng_seed):
         want = candidate_reference(reduced, count, rng_seed)
     except DegenerateDataError:
         with pytest.raises(DegenerateDataError, match=DEGENERATE_MESSAGE):
-            candidate_normals(reduced, mean_point(reduced), count, rng_seed)
+            candidate_normals(reduced, count, rng_seed)
         return []
-    got = candidate_normals(reduced, mean_point(reduced), count, rng_seed)
+    got = candidate_normals(reduced, count, rng_seed)
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     return got
@@ -216,31 +229,28 @@ def test_psi_zero_on_hyperplane():
     tangent = np.array([-2.0, 1.0]) / math.sqrt(5.0)
     pts = 2.0 * normal[:, None] + tangent[:, None] * rng.uniform(-1.0, 1.0, 30)
     reduced = simple_reduced(pts)
-    c_star = mean_point(reduced)
-    psi = objective_psi(normal, reduced, c_star)
+    psi = objective_psi(normal, reduced)
     assert psi <= 1e-18 * np.sum(pts**2)
 
 
 def test_psi_worked_example(worked_reduced):
-    c_star = mean_point(worked_reduced)
     normal = np.array([1.0, 1.0]) / SQ2
-    assert objective_psi(normal, worked_reduced, c_star) == pytest.approx(2.0, abs=1e-12)
+    assert objective_psi(normal, worked_reduced) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_psi_scale_and_sign_invariance():
     reduced, _, _ = make_line_data(n_pixels=64, mu_std=0.25, seed=6)
-    c_star = mean_point(reduced)
     rng = np.random.default_rng(7)
     for _ in range(5):
         n = rng.standard_normal(2)
-        base = objective_psi(n, reduced, c_star)
+        base = objective_psi(n, reduced)
         for alpha in (-2.0, 0.5, 10.0):
-            assert objective_psi(alpha * n, reduced, c_star) == pytest.approx(base, rel=1e-12)
+            assert objective_psi(alpha * n, reduced) == pytest.approx(base, rel=1e-12)
 
 
 def test_psi_value_is_the_batch_kernel():
     reduced, _, _ = make_line_data(n_pixels=64, mu_std=0.3, seed=19)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     evaluator = _PsiEvaluator(reduced, c_star)
     rng = np.random.default_rng(20)
     # the last normal is orthogonal to the anchor, so every path scores it inf
@@ -249,16 +259,15 @@ def test_psi_value_is_the_batch_kernel():
         value = evaluator.value(n)
         assert value == evaluator.batch(n[None])[0]
         if math.isfinite(value):
-            assert objective_psi(n, reduced, c_star) == value
+            assert objective_psi(n, reduced) == value
     with pytest.raises(NearOrthogonalNormalError):
-        objective_psi(normals[-1], reduced, c_star)
+        objective_psi(normals[-1], reduced)
 
 
 def test_psi_orthogonal_normal_raises():
     reduced = simple_reduced(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    c_star = mean_point(reduced)
     with pytest.raises(NearOrthogonalNormalError):
-        objective_psi(np.array([0.0, 1.0]), reduced, c_star)
+        objective_psi(np.array([0.0, 1.0]), reduced)
 
 
 def psi_reference(evaluator, normals):
@@ -283,15 +292,20 @@ def kernel_case(n_random):
     """Evaluator and normals covering invalid rows, clamps of every sign and
     the unclamped boundary."""
     rng = np.random.default_rng(21)
-    pixels = rng.standard_normal((3, 500)) + np.array([[3.0], [0.5], [0.0]])
+    pixels = rng.standard_normal((3, 500)) + np.array([[4.0], [0.5], [0.0]])
+    # row 0 on a 2^-20 grid, so the sums below are exact
+    pixels[0] = np.round(pixels[0] * 2.0**20) / 2.0**20
     # under the normal e1 these pixels give s = 0, a tiny negative, a tiny
     # positive and a subnormal negative s, whose reciprocal overflows
     pixels[:, :4] = [[0.0, -1e-4, 1e-4, -1e-310], [1.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 1.0]]
-    c_star = mean_point(simple_reduced(pixels.copy()))
-    # under e1 these two give ratios of exactly -MU_FLOOR and +MU_FLOOR, which
-    # stay unclamped; c_star stays the mean from before this edit
-    pixels[0, 4:6] = [-MU_FLOOR * c_star[0], MU_FLOOR * c_star[0]]
+    # and these two, over the anchor's first coordinate 4, give ratios of
+    # exactly -MU_FLOOR and +MU_FLOOR, which stay unclamped
+    pixels[0, 4:6] = [-4.0 * MU_FLOOR, 4.0 * MU_FLOOR]
+    # pixel 6 takes what makes row 0 sum to 2000; fsum rounds the -1e-310 away
+    pixels[0, 6] += 2000.0 - math.fsum(pixels[0])
     reduced = simple_reduced(pixels)
+    c_star = reduced.mean_pixel
+    assert c_star[0] == 4.0
     orthogonal = np.cross(c_star, [0.0, 0.0, 1.0])
     # under (-1, 0, 0) the first pixel has s = +0 over a negative d: mu = -0.0
     special = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], orthogonal, -orthogonal])
@@ -332,7 +346,7 @@ def test_psi_batch_is_bitwise_sign_invariant():
 def test_psi_batch_clamps_zero_ratio_to_positive_floor(worked_reduced):
     # under e1 the worked example's ratios are (9/4, 0, 3/4); the zero must
     # enter as +MU_FLOOR, from either sign of the normal
-    evaluator = _PsiEvaluator(worked_reduced, mean_point(worked_reduced))
+    evaluator = _PsiEvaluator(worked_reduced, worked_reduced.mean_pixel)
     expected = (1.0 - 4.0 / 9.0) ** 2 * 9.0 + (1.0 - 1.0 / MU_FLOOR) ** 2 + (1.0 - 4.0 / 3.0) ** 2 * 2.0
     values = evaluator.batch(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     np.testing.assert_allclose(values, expected, rtol=1e-12)
@@ -344,7 +358,7 @@ def test_psi_batch_scratch_is_bounded():
     reduced = ReducedData(
         basis=np.eye(5), pixels=rng.uniform(0.5, 1.5, (5, n)), singular_values=np.arange(5.0, 0.0, -1.0)
     )
-    evaluator = _PsiEvaluator(reduced, mean_point(reduced))
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
     normals = rng.standard_normal((200, 5))
     tracemalloc.start()
     try:
@@ -383,7 +397,7 @@ def test_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         reduced, _, _ = make_line_data(n_pixels=50, mu_std=0.3, seed=seed)
-        c_star = mean_point(reduced)
+        c_star = reduced.mean_pixel
         evaluator = _PsiEvaluator(reduced, c_star)
         rng = np.random.default_rng(seed + 1000)
         n = rng.standard_normal(2)
@@ -415,7 +429,7 @@ def chart_case(seed):
     direction, and an orthonormal basis of the chart's directions."""
     k = 2 + seed % 3
     reduced = plane_data(k, 64, seed)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     unit = c_star / np.linalg.norm(c_star)
     n = np.random.default_rng(seed + 1000).standard_normal(k) + unit
     return _PsiEvaluator(reduced, c_star), n / float(c_star @ n), correct_module._tangent_basis(unit)
@@ -467,35 +481,35 @@ def test_chart_system_ignores_clamped_pixels():
 def test_newton_never_increases_objective_and_is_deterministic():
     for seed in range(3):
         reduced = plane_data(4, 200, seed + 40)
-        c_star = mean_point(reduced)
+        c_star = reduced.mean_pixel
         evaluator = _PsiEvaluator(reduced, c_star)
         starts = list(np.random.default_rng(seed).standard_normal((8, 4)))
-        starts += candidate_normals(reduced, c_star, 4, rng_seed=seed)
+        starts += candidate_normals(reduced, 4, rng_seed=seed)
         for start in starts:
-            out = newton_refine(start, reduced, c_star)
-            assert np.array_equal(out, newton_refine(start, reduced, c_star))
+            out = newton_refine(start, reduced)
+            assert np.array_equal(out, newton_refine(start, reduced))
             assert evaluator.value(out) <= evaluator.value(start / np.linalg.norm(start))
 
 
 def test_newton_converges_to_grid_optimum():
     reduced, _, _ = make_line_data(n_pixels=400, mu_std=0.3, seed=9)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     psi_grid, theta_star = grid_search_psi(reduced, c_star)
     start = np.array([math.cos(theta_star + 0.05), math.sin(theta_star + 0.05)])
-    out = newton_refine(start, reduced, c_star)
-    assert abs(objective_psi(out, reduced, c_star) - psi_grid) / psi_grid < 1e-9
+    out = newton_refine(start, reduced)
+    assert abs(objective_psi(out, reduced) - psi_grid) / psi_grid < 1e-9
 
 
 def test_newton_k1_returns_start():
     reduced = simple_reduced(np.array([[1.0, 2.0, 0.5]]))
     start = np.ones(1)
-    assert newton_refine(start, reduced, mean_point(reduced)) is start
+    assert newton_refine(start, reduced) is start
 
 
 def test_newton_rejects_zero_start():
     reduced = plane_data(3, 20, 0)
     with pytest.raises(ValidationError):
-        newton_refine(np.zeros(3), reduced, mean_point(reduced))
+        newton_refine(np.zeros(3), reduced)
 
 
 def test_newton_rank_deficient_cloud_raises_nothing():
@@ -506,45 +520,44 @@ def test_newton_rank_deficient_cloud_raises_nothing():
     # every pixel equal: the objective is zero at almost every normal
     same = simple_reduced(np.tile([[1.0], [2.0], [0.5]], (1, 16)))
     for reduced in (flat, same):
-        c_star = mean_point(reduced)
+        c_star = reduced.mean_pixel
         evaluator = _PsiEvaluator(reduced, c_star)
         orthogonal = np.cross(c_star, [0.0, 0.0, 1.0] if reduced is same else [1.0, 0.0, 0.0])
         rng = np.random.default_rng(28)
         for start in [np.array([0.3, 0.4, 0.87]), orthogonal, *rng.standard_normal((5, 3))]:
-            out = newton_refine(start, reduced, c_star)
+            out = newton_refine(start, reduced)
             before = evaluator.value(start / np.linalg.norm(start))
             assert evaluator.value(out) <= before
-        assert newton_refine(orthogonal, reduced, c_star) is orthogonal
+        assert newton_refine(orthogonal, reduced) is orthogonal
 
 
 # --------------------------------------------------------------------- gd
 
 def test_gd_returns_stationary_start():
     reduced, true_normal, _ = make_line_data(n_pixels=300, mu_std=0.0, seed=8)
-    c_star = mean_point(reduced)
-    out = gd_refine(true_normal, reduced, c_star, GdConfig())
+    out = gd_refine(true_normal, reduced, GdConfig())
     assert np.allclose(out, true_normal, atol=1e-12)
 
 
 def test_gd_converges_to_grid_optimum_from_small_offset():
     reduced, _, _ = make_line_data(n_pixels=400, mu_std=0.3, seed=9)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     _, theta_star = grid_search_psi(reduced, c_star)
     start = np.array([math.cos(theta_star + 0.01), math.sin(theta_star + 0.01)])
-    out = gd_refine(start, reduced, c_star, GdConfig())
+    out = gd_refine(start, reduced, GdConfig())
     theta_out = math.atan2(out[1], out[0]) % math.pi
     assert abs(theta_out - theta_star) < 1e-4 or abs(abs(theta_out - theta_star) - math.pi) < 1e-4
 
 
 def test_gd_never_increases_objective():
     reduced, _, _ = make_line_data(n_pixels=200, mu_std=0.3, seed=10)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     evaluator = _PsiEvaluator(reduced, c_star)
     rng = np.random.default_rng(11)
     for _ in range(5):
         start = rng.standard_normal(2)
         start /= np.linalg.norm(start)
-        out = gd_refine(start, reduced, c_star, GdConfig(max_iters=50))
+        out = gd_refine(start, reduced, GdConfig(max_iters=50))
         assert evaluator.value(out) <= evaluator.value(start) + 1e-12
 
 
@@ -552,22 +565,22 @@ def test_gd_never_increases_objective():
 
 def test_pso_single_particle_at_optimum_stays():
     reduced, _, _ = make_line_data(n_pixels=300, mu_std=0.2, seed=12)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     _, theta_star = grid_search_psi(reduced, c_star)
     # polish the grid point to the exact stationary optimum first
     n_star = gd_refine(
-        np.array([math.cos(theta_star), math.sin(theta_star)]), reduced, c_star, GdConfig()
+        np.array([math.cos(theta_star), math.sin(theta_star)]), reduced, GdConfig()
     )
-    out = pso_minimize(reduced, c_star, [n_star], PsoConfig(swarm_size=2, iterations=40), seed=0)
+    out = pso_minimize(reduced, [n_star], PsoConfig(swarm_size=2, iterations=40), seed=0)
     assert np.array_equal(out, n_star)
 
 
 def test_pso_beats_every_candidate():
     reduced, _, _ = make_line_data(n_pixels=256, mu_std=0.3, seed=13)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     evaluator = _PsiEvaluator(reduced, c_star)
-    cands = candidate_normals(reduced, c_star, 20, rng_seed=14)
-    out = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=32, iterations=60), seed=1)
+    cands = candidate_normals(reduced, 20, rng_seed=14)
+    out = pso_minimize(reduced, cands, PsoConfig(swarm_size=32, iterations=60), seed=1)
     best_cand = min(evaluator.value(c) for c in cands)
     assert evaluator.value(out) <= best_cand + 1e-12
 
@@ -577,32 +590,30 @@ def test_pso_all_invalid_particles_fail():
     # normal is degenerate and the search cannot start
     pts = np.array([[1.0, -1.0, 2.0, -2.0], [0.5, -0.5, -1.0, 1.0]])
     reduced = simple_reduced(pts)
-    c_star = mean_point(reduced)
     from hsiscale import OptimizationError
 
     with pytest.raises(OptimizationError):
         pso_minimize(
-            reduced, c_star, [np.array([1.0, 0.0])], PsoConfig(swarm_size=4, iterations=5), seed=0
+            reduced, [np.array([1.0, 0.0])], PsoConfig(swarm_size=4, iterations=5), seed=0
         )
 
 
 def test_pso_deterministic():
     reduced, _, _ = make_line_data(n_pixels=128, mu_std=0.3, seed=15)
-    c_star = mean_point(reduced)
-    cands = candidate_normals(reduced, c_star, 8, rng_seed=16)
+    cands = candidate_normals(reduced, 8, rng_seed=16)
     config = PsoConfig(swarm_size=16, iterations=30)
-    a = pso_minimize(reduced, c_star, cands, config, seed=42)
-    b = pso_minimize(reduced, c_star, cands, config, seed=42)
+    a = pso_minimize(reduced, cands, config, seed=42)
+    b = pso_minimize(reduced, cands, config, seed=42)
     assert np.array_equal(a, b)
 
 
 def test_pso_grid_oracle_equivalence():
     reduced, _, _ = make_line_data(n_pixels=1024, mu_std=0.3, seed=17)
-    c_star = mean_point(reduced)
-    cands = candidate_normals(reduced, c_star, 60, rng_seed=18)
-    n_pso = pso_minimize(reduced, c_star, cands, PsoConfig(swarm_size=64, iterations=120), seed=2)
-    n_best = gd_refine(n_pso, reduced, c_star, GdConfig())
-    psi_final = objective_psi(n_best, reduced, c_star)
+    c_star = reduced.mean_pixel
+    cands = candidate_normals(reduced, 60, rng_seed=18)
+    n_pso = pso_minimize(reduced, cands, PsoConfig(swarm_size=64, iterations=120), seed=2)
+    n_best = gd_refine(n_pso, reduced, GdConfig())
+    psi_final = objective_psi(n_best, reduced)
     psi_grid, _ = grid_search_psi(reduced, c_star)
     assert abs(psi_final - psi_grid) / psi_grid < 1e-6
 
@@ -614,7 +625,7 @@ def test_estimate_scaling_on_plane_gives_ones():
     tangent = np.array([-4.0, 3.0]) / 5.0
     pts = 1.5 * normal[:, None] + tangent[:, None] * np.linspace(-1, 1, 20)
     reduced = simple_reduced(pts)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
     model = HyperplaneModel.build(c_star, normal, denom_floor_for(pts))
     field = estimate_scaling(reduced, model)
     assert np.allclose(field.values, 1.0, atol=1e-12)
@@ -622,7 +633,7 @@ def test_estimate_scaling_on_plane_gives_ones():
 
 
 def test_estimate_scaling_worked_example(worked_reduced):
-    c_star = mean_point(worked_reduced)
+    c_star = worked_reduced.mean_pixel
     model = HyperplaneModel.build(
         c_star, np.array([1.0, 1.0]) / SQ2, denom_floor_for(worked_reduced.pixels)
     )
@@ -633,7 +644,7 @@ def test_estimate_scaling_worked_example(worked_reduced):
 def test_mean_one_identity_random_data():
     for seed in range(5):
         reduced, _, _ = make_line_data(n_pixels=333, mu_std=0.3, seed=seed)
-        c_star = mean_point(reduced)
+        c_star = reduced.mean_pixel
         rng = np.random.default_rng(seed + 50)
         n = rng.standard_normal(2) + np.array([1.0, 1.0])
         model = HyperplaneModel.build(c_star, n, denom_floor_for(reduced.pixels))
@@ -729,11 +740,11 @@ def fast_configs(seed=0):
 
 def test_search_without_stages_returns_best_start():
     reduced, _, _ = make_line_data(n_pixels=128, mu_std=0.3, seed=19)
-    c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, c_star, 12, rng_seed=20)
+    c_star = reduced.mean_pixel
+    starts = candidate_normals(reduced, 12, rng_seed=20)
     evaluator = _PsiEvaluator(reduced, c_star)
     best = int(np.argmin([evaluator.value(n) for n in starts]))
-    stages = search_normal(reduced, c_star, starts, None, None, 0)
+    stages = search_normal(reduced, starts, None, None, 0)
     assert len(stages) == 3
     for normal, psi in stages[:2]:
         assert normal is starts[best]
@@ -747,11 +758,11 @@ def test_search_without_stages_returns_best_start():
 @pytest.mark.parametrize("seed", range(4))
 def test_search_swarm_never_reports_above_best_start(seed):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=21 + seed)
-    c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, c_star, 6, rng_seed=seed)
+    c_star = reduced.mean_pixel
+    starts = candidate_normals(reduced, 6, rng_seed=seed)
     config = PsoConfig(swarm_size=4, iterations=3)
     (_, psi_start), (normal, psi_swarm), (_, psi_final) = search_normal(
-        reduced, c_star, starts, config, None, seed
+        reduced, starts, config, None, seed
     )
     assert psi_final <= psi_swarm <= psi_start
     assert psi_swarm == _PsiEvaluator(reduced, c_star).value(normal)
@@ -759,13 +770,13 @@ def test_search_swarm_never_reports_above_best_start(seed):
 
 def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
-    c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, c_star, 6, rng_seed=26)
+    c_star = reduced.mean_pixel
+    starts = candidate_normals(reduced, 6, rng_seed=26)
     values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
     worst = starts[int(np.argmax(values))]
     monkeypatch.setattr(correct_module, "pso_minimize", lambda *args: worst)
     monkeypatch.setattr(correct_module, "gd_refine", lambda *args: worst)
-    stages = search_normal(reduced, c_star, starts, PsoConfig(), GdConfig(), 0)
+    stages = search_normal(reduced, starts, PsoConfig(), GdConfig(), 0)
     best = starts[int(np.argmin(values))]
     assert max(values) > min(values)
     assert all(normal is best and psi == min(values) for normal, psi in stages)
@@ -773,12 +784,12 @@ def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
 
 def test_search_falls_back_when_the_newton_polish_does_worse(monkeypatch):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
-    c_star = mean_point(reduced)
-    starts = candidate_normals(reduced, c_star, 6, rng_seed=26)
+    c_star = reduced.mean_pixel
+    starts = candidate_normals(reduced, 6, rng_seed=26)
     values = [_PsiEvaluator(reduced, c_star).value(n) for n in starts]
     worst = starts[int(np.argmax(values))]
     monkeypatch.setattr(correct_module, "newton_refine", lambda *args: worst)
-    stages = search_normal(reduced, c_star, starts, None, None, 0)
+    stages = search_normal(reduced, starts, None, None, 0)
     assert stages[2][0] is stages[1][0] and stages[2][1] == stages[1][1]
 
 
@@ -793,14 +804,14 @@ def test_run_correction_reports_the_search_stages(monkeypatch):
 
     monkeypatch.setattr(correct_module, "search_normal", spy_search)
     _, report = run_correction(scene.scaled_cube, 3, **configs)
-    [((reduced, c_star, starts, pso_config, gd_config, _), stages)] = calls
+    [((reduced, starts, pso_config, gd_config, _), stages)] = calls
     assert (pso_config, gd_config) == (configs["pso_config"], configs["gd_config"])
     assert len(starts) == report.candidate_count
     assert (report.psi_initial, report.psi_after_pso, report.psi_final) == tuple(
         psi for _, psi in stages
     )
     assert np.array_equal(report.model.normal, HyperplaneModel.build(
-        c_star, stages[2][0], denom_floor_for(reduced.pixels)
+        reduced.mean_pixel, stages[2][0], denom_floor_for(reduced.pixels)
     ).normal)
 
 
@@ -809,9 +820,9 @@ def test_rng_seed_drives_the_swarm_with_or_without_a_config(monkeypatch):
     scene = small_scene(0.3, seed=6)
     real_pso, seeds = correct_module.pso_minimize, []
 
-    def spy_pso(reduced, c_star, initial_normals, config, seed):
+    def spy_pso(reduced, initial_normals, config, seed):
         seeds.append(seed)
-        return real_pso(reduced, c_star, initial_normals, config, seed)
+        return real_pso(reduced, initial_normals, config, seed)
 
     monkeypatch.setattr(correct_module, "pso_minimize", spy_pso)
     for rng_seed in (1, 2):
@@ -834,11 +845,11 @@ def test_default_swarm_holds_the_accepted_candidates(monkeypatch, snr_db, k):
         runs[-1]["rows"].append(normals.shape[0])
         return real_batch(evaluator, normals)
 
-    def spy_pso(reduced, c_star, initial_normals, config, seed):
+    def spy_pso(reduced, initial_normals, config, seed):
         runs.append({"starts": len(initial_normals), "rows": []})
         monkeypatch.setattr(_PsiEvaluator, "batch", spy_batch)
         try:
-            return real_pso(reduced, c_star, initial_normals, config, seed)
+            return real_pso(reduced, initial_normals, config, seed)
         finally:
             monkeypatch.setattr(_PsiEvaluator, "batch", real_batch)
 
@@ -874,7 +885,8 @@ def test_run_correction_on_plane_residual():
     scene = small_scene(0.3, seed=3)
     corrected, report = run_correction(scene.scaled_cube, 3, **fast_configs(3))
     reduced = svd_reduce(scene.scaled_cube, 3)
-    c_star = mean_point(reduced)
+    c_star = reduced.mean_pixel
+    assert np.array_equal(report.model.c_star, c_star)
     corrected_reduced = reduced.pixels / report.mu_hat.values[None, :]
     residual = np.abs((corrected_reduced - c_star[:, None]).T @ report.model.normal)
     norms = np.linalg.norm(reduced.pixels, axis=0)
@@ -885,6 +897,7 @@ def test_run_correction_degenerate_k1():
     scene = small_scene(0.2, seed=4)
     corrected, report = run_correction(scene.scaled_cube, 1, rng_seed=0)
     assert report.degenerate_mode
+    assert np.array_equal(report.model.c_star, svd_reduce(scene.scaled_cube, 1).mean_pixel)
     assert report.to_json_dict()["degenerate_mode"] is True
     assert report.candidate_count == 0
     assert report.psi_initial == report.psi_after_pso == report.psi_final
