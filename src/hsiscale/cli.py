@@ -119,6 +119,11 @@ def _count(text: str) -> int:
     return _int_at_least(1, text)
 
 
+def _mixture_count(text: str) -> int:
+    """argparse type of a synthetic scene's --endmembers: a mixture needs two."""
+    return _int_at_least(2, text)
+
+
 def _endmember_bound_error(k: int, cube) -> int | None:
     if k > min(cube.bands, cube.n_pixels):
         return _usage_error(f"--endmembers {k} exceeds min(bands={cube.bands}, pixels={cube.n_pixels})")
@@ -212,6 +217,8 @@ def cmd_unmix(args) -> int:
             )
         manifest.add_input(args.endmember_file)
     else:
+        if args.endmembers < 2:
+            return _usage_error(f"--endmembers {args.endmembers}: N-FINDR needs at least 2 vertices")
         if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
             return code
         reduced = svd_reduce(cube, args.endmembers)
@@ -298,6 +305,8 @@ def cmd_ablate(args) -> int:
     manifest = _ManifestWriter("ablate", _config_dict(args), args.seed)
     cube = read_cube(args.input)
     truth = ScalingField.from_raw(load_vector(args.truth_mu))
+    if len(truth) != cube.n_pixels:
+        raise DimensionError(f"--input has {cube.n_pixels} pixels, the truth field {len(truth)}")
     manifest.add_input(args.input)
     manifest.add_input(args.truth_mu)
     if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
@@ -412,7 +421,7 @@ def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--height", type=int, default=128)
     parser.add_argument("--width", type=int, default=128)
     parser.add_argument("--bands", type=int, default=100)
-    parser.add_argument("--endmembers", type=_count, default=5)
+    parser.add_argument("--endmembers", type=_mixture_count, default=5)
     parser.add_argument("--corr-len", type=float, default=3.0, dest="corr_len")
     parser.add_argument("--scale-corr-len", type=float, default=6.0, dest="scale_corr_len")
 

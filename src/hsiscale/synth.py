@@ -60,8 +60,13 @@ class SynthConfig:
             raise ValidationError(f"field_kind must be one of {FIELD_KINDS}")
         if not 0.0 <= self.scale_std <= 0.5:
             raise ValidationError("scale_std must lie in [0, 0.5]")
-        if self.correlation_length <= 0 or self.scale_correlation_length <= 0:
-            raise ValidationError("correlation lengths must be positive")
+        for name in ("correlation_length", "scale_correlation_length"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
+        # +inf is a noise-free cube; NaN and -inf would make a non-finite one
+        if self.snr_db is not None and not self.snr_db > -np.inf:
+            raise ValidationError(f"snr_db must be a number or +inf, got {self.snr_db}")
 
     @property
     def n_pixels(self) -> int:

@@ -17,8 +17,6 @@ from scipy.optimize import nnls  # noqa: F401  not called; perfbench counts call
 from .errors import DegenerateDataError, DimensionError, NumericError, ValidationError
 from .reduction import ReducedData
 
-# weight of the sum-to-one row relative to the endmember column norms
-ASC_WEIGHT = 1e3
 KKT_TOL = 1e-8
 ANC_TOL = 1e-8
 ASC_TOL = 1e-6
@@ -45,13 +43,12 @@ class UnmixResult:
             raise ValidationError("abundance columns must sum to one")
 
 
-def _passive_solve(gram, mty, inv_d2, passive, cols):
-    """Unconstrained minimizers on each pixel's passive set, for pixels ``cols``.
+def _passive_solve(gram, mty, passive, cols):
+    """Minimizers on each pixel's passive set under sum(s) = 1, for pixels ``cols``.
 
-    Pixels are grouped on their passive set, and each group is one bordered
-    solve [G_PP 1; 1^T -1/delta^2] [s; lam] = [M_P^T y; 1] for all its
-    pixels, where lam = delta^2 (sum(s) - 1). The border keeps delta^2 out of
-    the sums, where its rounding would swamp the endmember Gram matrix.
+    Pixels are grouped on their passive set, and each group is one solve of
+    the KKT border [G_PP 1; 1^T 0] [s; lam] = [M_P^T y; 1] for all its
+    pixels, lam being the multiplier of the sum-to-one constraint.
     """
     k = gram.shape[0]
     codes = (1 << np.arange(k)) @ passive[:, cols]
@@ -62,10 +59,9 @@ def _passive_solve(gram, mty, inv_d2, passive, cols):
     for code, group in zip(sets, np.split(order, starts[1:])):
         idx = np.flatnonzero((code >> np.arange(k)) & 1)
         p = idx.size
-        border = np.empty((p + 1, p + 1))
+        border = np.zeros((p + 1, p + 1))
         border[:p, :p] = gram[np.ix_(idx, idx)]
         border[:p, p] = border[p, :p] = 1.0
-        border[p, p] = -inv_d2
         rhs = np.empty((p + 1, group.size))
         rhs[:p] = mty[np.ix_(idx, cols[group])]
         rhs[p] = 1.0
@@ -75,18 +71,22 @@ def _passive_solve(gram, mty, inv_d2, passive, cols):
     return s, lam
 
 
-def _lawson_hanson(gram, mty, delta):
-    """Lawson-Hanson NNLS of the sum-to-one-augmented system for every pixel at once.
+def _lawson_hanson(gram, mty):
+    """Lawson-Hanson active-set FCLS for every pixel at once.
 
     Works in K-space from the Gram matrix M^T M and M^T Y, as fast NNLS
-    does (Bro & de Jong 1997). Returns the abundances and the multipliers
-    lam = delta^2 (sum(a) - 1) of the sum-to-one row, as they stand after
-    at most 3K outer steps, scipy's iteration limit.
+    does (Bro & de Jong 1997), with the sum-to-one constraint held exactly
+    in each passive-set solve, not by a penalty weight. Each pixel starts
+    at its nearest vertex, so every iterate is feasible. Returns the
+    abundances and the sum-to-one multipliers lam as they stand after at
+    most 3K outer steps, scipy's iteration limit.
     """
     k, n = mty.shape
+    start = (mty - 0.5 * np.diag(gram)[:, None]).argmax(axis=0)
     x = np.zeros((k, n))
-    lam = np.full(n, -delta**2)
-    passive = np.zeros((k, n), dtype=bool)
+    x[start, np.arange(n)] = 1.0
+    lam = mty[start, np.arange(n)] - gram[start, start]
+    passive = x > 0.0
     # the gradient is a difference of terms this large, and the tolerance
     # sits just above its rounding: a looser one leaves out abundances of
     # about tol over the curvature between similar endmembers (1e-12
@@ -104,7 +104,7 @@ def _lawson_hanson(gram, mty, delta):
         passive[j, todo] = True
         cols = todo
         while cols.size:
-            s, lam_s = _passive_solve(gram, mty, 1.0 / delta**2, passive, cols)
+            s, lam_s = _passive_solve(gram, mty, passive, cols)
             blocked = passive[:, cols] & (s <= 0.0)
             feasible = ~blocked.any(axis=0)
             x[:, cols[feasible]] = s[:, feasible]
@@ -131,12 +131,11 @@ def _lawson_hanson(gram, mty, delta):
 def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
     """Fully constrained least-squares abundances, one pixel per column.
 
-    Solves min ||y - M a||^2 subject to a >= 0 and sum(a) = 1 by active-set
-    non-negative least squares on the sum-to-one-augmented system, batched
-    over pixels (Heinz & Chang 2001). Pixels whose sum misses the tolerance
-    are solved again, as one batch, at 10, 100 and 1000 times the weight.
-    Each solution is KKT-checked: dual feasibility and complementary
-    slackness within KKT_TOL.
+    Solves min ||y - M a||^2 subject to a >= 0 and sum(a) = 1 (Heinz &
+    Chang 2001) by one batched active-set pass over all pixels that holds
+    the sum-to-one constraint exactly, with no penalty weight. Each
+    solution is KKT-checked: dual feasibility and complementary slackness
+    within KKT_TOL.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     m = np.asarray(endmembers, dtype=np.float64)
@@ -144,28 +143,19 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"incompatible shapes: pixels {pixels.shape}, endmembers {m.shape}"
         )
-    delta = ASC_WEIGHT * float(np.mean(np.linalg.norm(m, axis=0)))
-    # the solved system includes the sum-to-one row, which separates
-    # signatures that differ only by scale; only signatures degenerate in
-    # the augmented sense (e.g. exact duplicates, or more than L + 1 of
-    # them, where the SVD returns fewer than K values) are unsolvable
-    svals = np.linalg.svd(np.vstack([m, delta * np.ones((1, m.shape[1]))]), compute_uv=False)
+    # every passive-set border is solvable iff M with a sum-to-one row has
+    # full column rank: the row separates signatures that differ only by
+    # scale, so only exact duplicates, or more than L + 1 signatures (the
+    # SVD then returns fewer than K values), are refused
+    sum_row = 1e3 * float(np.mean(np.linalg.norm(m, axis=0)))
+    svals = np.linalg.svd(np.vstack([m, np.full((1, m.shape[1]), sum_row)]), compute_uv=False)
     if svals.size < m.shape[1] or svals[-1] <= 1e-10 * svals[0]:
         raise DimensionError("endmember matrix is rank-deficient")
     gram = m.T @ m
     mty = m.T @ pixels
-    out, lam = _lawson_hanson(gram, mty, delta)
-    cols = np.arange(pixels.shape[1])
-    weight = delta
-    for _ in range(3):
-        cols = cols[np.abs(out[:, cols].sum(axis=0) - 1.0) > 0.1 * ASC_TOL]
-        if cols.size == 0:
-            break
-        weight *= 10.0
-        out[:, cols], lam[cols] = _lawson_hanson(gram, mty[:, cols], weight)
-    # the dual A^T (A a - t) in K-space with the solver's multiplier: from
-    # sum(a) - 1 it reads 1e-7 by rounding at 1000x the weight. A weight^2
-    # term in the scale would let points 0.03 off the optimum pass.
+    out, lam = _lawson_hanson(gram, mty)
+    # the Lagrangian's gradient G a - M^T y + lam in K-space, lam being the
+    # sum-to-one multiplier: >= 0 everywhere, 0 wherever a > 0
     dual = gram @ out - mty + lam
     kkt_scale = 1.0 + np.abs(mty).max(axis=0) + np.abs(gram).max()
     violation = np.maximum(np.abs(out * dual), -dual).max(axis=0) / kkt_scale

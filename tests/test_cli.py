@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hsiscale
-from hsiscale import HsiCube
+from hsiscale import HsiCube, cli
 from hsiscale.cli import _hash_file, fnv1a64, main
 from hsiscale.correct import GdConfig, PsoConfig, run_correction
 from hsiscale.fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
@@ -183,6 +183,23 @@ def test_k_too_large_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert K_TOO_LARGE in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_one_endmember_modes_stay_valid(tmp_path):
+    # correct's K=1 mode and a one-column endmember file are not mixtures
+    # that need two vertices
+    scene = synth(tmp_path)
+    assert main([
+        "correct", "--input", str(scene / "scaled.hsic"), "--endmembers", "1",
+        "--out", str(tmp_path / "c.hsic"), "--mu-out", str(tmp_path / "mu.f32"),
+    ]) == 0
+    write_matrix_csv(read_matrix_csv(scene / "endmembers.csv")[:, :1], tmp_path / "one.csv")
+    out = tmp_path / "u"
+    assert main([
+        "unmix", "--input", str(scene / "scaled.hsic"), "--endmembers", "1",
+        "--endmember-file", str(tmp_path / "one.csv"), "--out", str(out),
+    ]) == 0
+    assert np.array_equal(read_matrix_csv(out / "abundances.csv"), np.ones((1, 256)))
 
 
 def test_correct_missing_input_runtime_error(tmp_path, capsys):
@@ -579,15 +596,23 @@ ABLATE = "ablate --input {scene}/scaled.hsic --truth-mu {scene}/mu_true.f32 --en
 UNMIX = "unmix --input {scene}/clean.hsic --extract nfindr --endmembers 3 --out {out}"
 SWEEP = "sweep --stds 0.1 --height 8 --width 8 --bands 6 --endmembers 2 --out {out}"
 
-# case -> (argv template, exit code, a fragment of stderr); each argv is a
-# complete invocation apart from its one bad value
+# case -> (argv template, 2 for a usage error or the error's name for a
+# runtime error (exit 1), a fragment of stderr); each argv is a complete
+# invocation apart from its one bad value
 CLI_FAILURES = {
     "synth-negative-seed": ("synth --seed -1 --out {out}", 2, "--seed: must be >= 0, got -1"),
     "correct-negative-seed": (CORRECT + " --seed -1", 2, "--seed: must be >= 0, got -1"),
     "unmix-negative-seed": (UNMIX + " --seed -1", 2, "--seed: must be >= 0, got -1"),
     "ablate-negative-seed": (ABLATE + " --seed -1", 2, "--seed: must be >= 0, got -1"),
     "sweep-negative-seed": (SWEEP + " --seed -1", 2, "--seed: must be >= 0, got -1"),
-    "synth-zero-endmembers": ("synth --endmembers 0 --out {out}", 2, "--endmembers: must be >= 1, got 0"),
+    "synth-zero-endmembers": ("synth --endmembers 0 --out {out}", 2, "--endmembers: must be >= 2, got 0"),
+    "synth-one-endmember": ("synth --endmembers 1 --out {out}", 2, "--endmembers: must be >= 2, got 1"),
+    "sweep-one-endmember": (
+        SWEEP.replace("--endmembers 2", "--endmembers 1"), 2, "--endmembers: must be >= 2, got 1"
+    ),
+    "unmix-nfindr-one-endmember": (
+        UNMIX.replace("--endmembers 3", "--endmembers 1"), 2, "--endmembers 1: N-FINDR needs at least 2"
+    ),
     "correct-zero-endmembers": (
         CORRECT.replace("--endmembers 3", "--endmembers 0"), 2, "--endmembers: must be >= 1, got 0"
     ),
@@ -603,40 +628,71 @@ CLI_FAILURES = {
         2, "--endmembers 5 does not match the 3 columns of",
     ),
     "eval-mu-empty-f32": (
-        "eval mu --pred {root}/empty.f32 --truth {scene}/mu_true.f32", 1, "non-empty 1-D vector"
+        "eval mu --pred {root}/empty.f32 --truth {scene}/mu_true.f32",
+        "DimensionError", "non-empty 1-D vector",
     ),
     "eval-mu-empty-csv": (
-        "eval mu --pred {scene}/mu_true.f32 --truth {root}/empty.csv", 1, "non-empty 1-D vector"
+        "eval mu --pred {scene}/mu_true.f32 --truth {root}/empty.csv",
+        "DimensionError", "non-empty 1-D vector",
     ),
     "ablate-empty-truth-mu": (
-        ABLATE.replace("{scene}/mu_true.f32", "{root}/empty.f32"), 1, "non-empty 1-D vector"
+        ABLATE.replace("{scene}/mu_true.f32", "{root}/empty.f32"), "DimensionError", "non-empty 1-D vector"
+    ),
+    "ablate-short-truth-mu": (
+        ABLATE.replace("{scene}/mu_true.f32", "{root}/short.f32"), "DimensionError",
+        "--input has 256 pixels, the truth field 255",
+    ),
+    "synth-nan-corr-len": (
+        "synth --corr-len nan --out {out}", "ValidationError",
+        "correlation_length must be finite and positive",
+    ),
+    "synth-inf-corr-len": (
+        "synth --corr-len inf --out {out}", "ValidationError",
+        "correlation_length must be finite and positive",
+    ),
+    "synth-nan-scale-corr-len": (
+        "synth --scale-corr-len nan --out {out}", "ValidationError",
+        "scale_correlation_length must be finite and positive",
+    ),
+    "synth-nan-snr-db": (
+        "synth --snr-db nan --out {out}", "ValidationError", "snr_db must be a number or +inf"
     ),
 }
 
 
 @pytest.fixture(scope="module")
 def failure_inputs(tmp_path_factory):
-    """A scene, a 0-row .f32 vector and a 0-row CSV vector."""
+    """A 16 x 16 px scene, a 0-row .f32 vector, a 0-row CSV vector and a
+    255-entry .f32 vector, one short of the scene."""
     root = tmp_path_factory.mktemp("failures")
     assert main(["synth", *SCENE_FLAGS, "--seed", "1", "--out", str(root / "scene")]) == 0
     save_vector(np.zeros(0), root / "empty.f32")
+    save_vector(np.ones(255), root / "short.f32")
     (root / "empty.csv").write_text("0,1\n")
     return root
 
 
 @pytest.mark.parametrize("case", sorted(CLI_FAILURES))
-def test_cli_failures_are_structured(failure_inputs, capsys, case):
+def test_cli_failures_are_structured(failure_inputs, capsys, monkeypatch, case):
     # no failure ends as a traceback: a usage error prints argparse's usage
-    # line first, a runtime error one error[Name] line
-    template, want_code, fragment = CLI_FAILURES[case]
+    # line first, a runtime error one error[Name] line; and none is found
+    # only after ablate's searches
+    template, want, fragment = CLI_FAILURES[case]
+    searches = []
+    monkeypatch.setattr(cli, "search_normal", lambda *args: searches.append(args))
     root = failure_inputs
     out = root / case
     argv = template.format(scene=root / "scene", root=root, out=out).split()
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
-    assert code == want_code
     first = err.splitlines()[0]
-    assert first.startswith("usage") if code == 2 else first.startswith("error[DimensionError]: "), err
+    if want == 2:
+        assert code == 2
+        assert first.startswith("usage"), err
+    else:
+        assert code == 1
+        assert first.startswith(f"error[{want}]: "), err
     assert fragment in err
     assert not out.exists()
+    assert searches == []

@@ -103,6 +103,26 @@ def test_scale_std_range_enforced():
         cfg(scale_std=-0.1)
 
 
+def test_config_refuses_non_finite_values():
+    # an infinite correlation length makes the covariance all ones, one
+    # distinct abundance pixel; a NaN snr_db a non-finite cube
+    nan, inf = float("nan"), float("inf")
+    for field, value in [
+        ("correlation_length", nan),
+        ("correlation_length", inf),
+        ("scale_correlation_length", nan),
+        ("scale_correlation_length", inf),
+        ("snr_db", nan),
+        ("snr_db", -inf),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{field} "):
+            cfg(**{field: value})
+    # +inf dB is a noise-free scene
+    infinite_snr = gen_scene(cfg(height=8, width=8, seed=3, snr_db=inf))
+    no_snr = gen_scene(cfg(height=8, width=8, seed=3))
+    assert np.array_equal(infinite_snr.scaled_cube.data, no_snr.scaled_cube.data)
+
+
 def test_moment_control_across_seeds():
     stds = [gen_scaling_field(cfg(height=64, width=64, seed=s)).values.std() for s in range(10)]
     assert 0.285 <= np.mean(stds) <= 0.315

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from hsiscale import (
     unmix,
 )
 from hsiscale.metrics import norm_concentration_ratio
-from hsiscale.unmix import ASC_TOL, ASC_WEIGHT, KKT_TOL, _simplex_volume
+from hsiscale.unmix import _simplex_volume
 from conftest import make_line_data
 
 # the package attribute ``hsiscale.unmix`` is the function, not the module
@@ -103,23 +104,26 @@ def test_fcls_exact_on_clean_scene():
 
 
 def fcls_reference(pixels, endmembers):
-    """The per-pixel solve: one scipy NNLS call per pixel and weight."""
+    """The exact optimum by enumeration: for each pixel, every support's
+    bordered solve, keeping the feasible one of lowest loss."""
     m = np.asarray(endmembers, dtype=np.float64)
-    delta = ASC_WEIGHT * float(np.mean(np.linalg.norm(m, axis=0)))
-    out = np.empty((m.shape[1], pixels.shape[1]))
-    for i in range(pixels.shape[1]):
-        weight = delta
-        for _ in range(4):
-            aug = np.vstack([m, weight * np.ones((1, m.shape[1]))])
-            target = np.concatenate([pixels[:, i], [weight]])
-            sol, _ = nnls(aug, target)
-            if abs(sol.sum() - 1.0) <= 0.1 * ASC_TOL:
-                break
-            weight *= 10.0
-        dual = aug.T @ (aug @ sol - target)
-        kkt_scale = 1.0 + float(np.abs(aug.T @ target).max())
-        assert np.abs(sol * dual).max() / kkt_scale <= KKT_TOL
-        out[:, i] = sol
+    k, n = m.shape[1], pixels.shape[1]
+    out = np.zeros((k, n))
+    best = np.full(n, np.inf)
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            idx = list(support)
+            border = np.zeros((size + 1, size + 1))
+            border[:size, :size] = m[:, idx].T @ m[:, idx]
+            border[:size, size] = border[size, :size] = 1.0
+            rhs = np.vstack([m[:, idx].T @ pixels, np.ones((1, n))])
+            s = np.linalg.solve(border, rhs)[:size]
+            loss = np.sum((pixels - m[:, idx] @ s) ** 2, axis=0)
+            # strict: of optima tied to rounding, the first support found wins
+            wins = np.all(s >= 0.0, axis=0) & (loss < best)
+            out[:, wins] = 0.0
+            out[np.ix_(idx, np.flatnonzero(wins))] = s[:, wins]
+            best[wins] = loss[wins]
     return out
 
 
@@ -148,24 +152,25 @@ def count_nnls_calls(monkeypatch):
     return calls
 
 
-def record_solve_weights(monkeypatch):
-    weights = []
+def record_solves(monkeypatch):
+    """The pixel count of every _lawson_hanson call."""
+    solves = []
     solve = unmix_module._lawson_hanson
 
-    def recorded(gram, mty, delta):
-        weights.append(delta)
-        return solve(gram, mty, delta)
+    def recorded(gram, mty):
+        solves.append(mty.shape[1])
+        return solve(gram, mty)
 
     monkeypatch.setattr(unmix_module, "_lawson_hanson", recorded)
-    return weights
+    return solves
 
 
 @pytest.mark.parametrize(
-    "cube, endmembers, escalates",
-    [("corrected", "truth", False), ("corrected", "nfindr", False), ("scaled", "truth", True)],
+    "cube, endmembers",
+    [("corrected", "truth"), ("corrected", "nfindr"), ("scaled", "truth")],
 )
 def test_fcls_matches_per_pixel_reference_on_benchmark_scene(
-    benchmark_scene, monkeypatch, cube, endmembers, escalates
+    benchmark_scene, monkeypatch, cube, endmembers
 ):
     scene, corrected, extracted = benchmark_scene
     pixels = (corrected if cube == "corrected" else scene.scaled_cube).pixel_matrix()
@@ -173,13 +178,13 @@ def test_fcls_matches_per_pixel_reference_on_benchmark_scene(
     # stopping tolerance leaves out abundances of a few 1e-9
     m = scene.truth.endmembers if endmembers == "truth" else extracted
     calls = count_nnls_calls(monkeypatch)
-    weights = record_solve_weights(monkeypatch)
+    solves = record_solves(monkeypatch)
     got = fcls(pixels, m)
-    # badly scaled pixels miss the sum at the base weight and are solved
-    # again at a higher one; corrected ones never are
-    assert (max(weights) > weights[0]) == escalates
+    # one pass over every pixel, badly scaled ones included
+    assert solves == [pixels.shape[1]]
     assert len(calls) == 0
     np.testing.assert_allclose(got, fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
+    assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-12
 
 
 def mixed_pixels(k, n, seed, bands=30):
@@ -205,11 +210,12 @@ def test_fcls_matches_per_pixel_reference(case):
     elif case == "single-pixel":
         pixels, m = mixed_pixels(5, 1, seed=14)
     else:
-        # three times too bright: nearly every pixel misses the sum at the
-        # base weight and is solved again at a higher one
+        # three times too bright: far from every mixture of the endmembers
         pixels, m = mixed_pixels(5, 400, seed=14)
         pixels = 3.0 * pixels
-    np.testing.assert_allclose(fcls(pixels, m), fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
+    got = fcls(pixels, m)
+    np.testing.assert_allclose(got, fcls_reference(pixels, m), rtol=0.0, atol=1e-9)
+    assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("how", ["reversed", "shift-0.03", "shift-1e-4", "dropped"])
@@ -219,8 +225,8 @@ def test_fcls_kkt_failure_names_the_pixel(monkeypatch, how):
     pixels, m = mixed_pixels(3, 6, seed=15)
     solve = unmix_module._lawson_hanson
 
-    def off_optimum(gram, mty, delta):
-        x, multiplier = solve(gram, mty, delta)
+    def off_optimum(gram, mty):
+        x, multiplier = solve(gram, mty)
         a = x[:, 4].copy()
         if how == "reversed":
             # keeps it feasible, sum included
@@ -229,7 +235,7 @@ def test_fcls_kkt_failure_names_the_pixel(monkeypatch, how):
             # the optimum without one of its endmembers: complementary
             # slackness holds, but that endmember is a descent direction
             keep = np.flatnonzero(a > 0.0)[1:]
-            sub, sub_multiplier = solve(gram[np.ix_(keep, keep)], mty[keep, 4:5], delta)
+            sub, sub_multiplier = solve(gram[np.ix_(keep, keep)], mty[keep, 4:5])
             x[:, 4] = 0.0
             x[keep, 4] = sub[:, 0]
             multiplier[4] = sub_multiplier[0]
