@@ -363,6 +363,29 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     return dists[..., i, j]
 
 
+def _draw_k_sets(rng: np.random.Generator, n: int, k: int, draws: int) -> np.ndarray:
+    """``draws`` K-subsets of range(n), one row each, from one integer draw.
+
+    Each row replays ``rng.choice(n, size=k, replace=False)``: Floyd's
+    algorithm (draw c in [0, n-k+c], a repeat becomes n-k+c), then a
+    Fisher-Yates shuffle (step i swaps with a draw in [0, i]). The rows and
+    the generator's final state equal those of per-row ``choice``, except
+    where numpy shuffles a tail instead (n > 10000 and k > n // 50); there
+    each row is still a uniform K-subset.
+    """
+    highs = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)])
+    raw = rng.integers(0, np.tile(highs, draws)).reshape(draws, 2 * k - 1)
+    sets, swaps = raw[:, :k], raw[:, k:]
+    for c in range(1, k):
+        repeat = (sets[:, :c] == sets[:, c, None]).any(axis=1)
+        sets[repeat, c] = n - k + c
+    rows = np.arange(draws)
+    for i in range(k - 1, 0, -1):
+        j = swaps[:, k - 1 - i]
+        sets[rows, i], sets[rows, j] = sets[rows, j], sets[rows, i]
+    return sets
+
+
 def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
     """Solve hyperplane normals from random well-separated pixel K-sets.
 
@@ -371,9 +394,11 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     normal exactly, so enough samples land some candidates near it. K-sets
     that are too close together or too ill-conditioned are rejected.
 
-    The K-sets are drawn one at a time and tested in batches of at most
-    as many sets as are still missing, so the result is that of testing
-    each draw as it comes.
+    The K-sets are tested in batches of at most as many sets as are still
+    missing, so the result is that of testing each draw as it comes. Each
+    batch is one integer draw equal to per-set ``rng.choice`` (see
+    ``_draw_k_sets``; only above numpy's tail-shuffle threshold, K > 200,
+    do the sets differ, and they are still uniform).
     """
     if count < 1:
         raise ValidationError("candidate count must be >= 1")
@@ -395,7 +420,7 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     while budget > 0 and len(accepted) < count:
         draws = min(budget, count - len(accepted), _CANDIDATE_BATCH)
         budget -= draws
-        idx = np.array([rng.choice(n, size=k, replace=False) for _ in range(draws)])
+        idx = _draw_k_sets(rng, n, k, draws)
         sets = pixels[:, idx].transpose(1, 0, 2)  # (draws, K, K), one pixel per column
         if k >= 2:
             sets = sets[_pairwise_distances(sets).min(axis=1) >= min_separation]

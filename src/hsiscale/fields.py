@@ -49,12 +49,16 @@ def gaussian_random_field(
     width: int,
     covariance,
     rng: np.random.Generator,
+    count: int,
 ) -> np.ndarray:
-    """Draw one zero-mean field with the given isotropic covariance.
+    """Draw ``count`` zero-mean fields with the given isotropic covariance.
 
     ``covariance`` maps a distance array (in pixels) to covariance values
     with ``covariance(0) == 1``. Marginal variance is 1 up to embedding
     rounding; callers wanting exact sample moments standardize afterwards.
+    The embedding is built once; field i is drawn after field i-1, so the
+    stack equals ``count`` calls that draw one field each. Returns an array
+    of shape (count, height, width).
     """
     last_min = None
     for factor in _PAD_FACTORS:
@@ -69,10 +73,12 @@ def gaussian_random_field(
         last_min = float(eig.min())
         if last_min < -_EMBED_TOL * float(eig.max()):
             continue  # embedding not PSD at this size; enlarge the torus
-        eig = np.clip(eig, 0.0, None)
-        noise = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
-        field = np.fft.ifft2(np.sqrt(eig) * noise).real * math.sqrt(m1 * m2)
-        return field[:height, :width]
+        amplitude = np.sqrt(np.clip(eig, 0.0, None))
+        fields = np.empty((count, height, width))
+        for field in fields:
+            noise = rng.standard_normal((m1, m2)) + 1j * rng.standard_normal((m1, m2))
+            field[:] = (np.fft.ifft2(amplitude * noise).real * math.sqrt(m1 * m2))[:height, :width]
+        return fields
     raise GenerationError(
         f"circulant embedding stayed indefinite up to {_PAD_FACTORS[-1]}x padding "
         f"(most negative eigenvalue {last_min:.3e})"

@@ -96,16 +96,17 @@ def _covariance_fn(config: SynthConfig, corr_length: float):
 def _unit_curve(bands: int, rng: np.random.Generator) -> np.ndarray:
     """One smooth min-0/max-1 curve from a few Gaussian bumps plus a ramp."""
     x = np.linspace(0.0, 1.0, bands)
-    curve = rng.uniform(-1.0, 1.0) * x
-    for _ in range(int(rng.integers(3, 7))):
-        center = rng.uniform(0.0, 1.0)
-        width = rng.uniform(0.05, 0.25)
-        amp = rng.uniform(-1.0, 1.0)
-        curve += amp * np.exp(-0.5 * ((x - center) / width) ** 2)
-    span = curve.max() - curve.min()
-    if span < 1e-9:
-        return _unit_curve(bands, rng)
-    return (curve - curve.min()) / span
+    for _ in range(MAX_RESAMPLES + 1):
+        curve = rng.uniform(-1.0, 1.0) * x
+        for _ in range(int(rng.integers(3, 7))):
+            center = rng.uniform(0.0, 1.0)
+            width = rng.uniform(0.05, 0.25)
+            amp = rng.uniform(-1.0, 1.0)
+            curve += amp * np.exp(-0.5 * ((x - center) / width) ** 2)
+        span = curve.max() - curve.min()
+        if span >= 1e-9:
+            return (curve - curve.min()) / span
+    raise GenerationError(f"spectral curve stayed flat after {MAX_RESAMPLES} resamples")
 
 
 def _sad(a: np.ndarray, b: np.ndarray) -> float:
@@ -123,6 +124,8 @@ def gen_endmembers(bands: int, count: int, seed: int) -> np.ndarray:
     [0.05, 0.95]; every pair of columns is at least MIN_ENDMEMBER_SAD
     radians apart.
     """
+    if bands < 2:
+        raise ValidationError(f"need at least two bands, got {bands}")
     if bands < count:
         raise ValidationError("need at least as many bands as endmembers")
     rng = _role_rng(seed, _ROLE_ENDMEMBERS)
@@ -175,12 +178,8 @@ def gen_abundance_field(config: SynthConfig) -> np.ndarray:
     """
     rng = _role_rng(config.seed, _ROLE_ABUNDANCE)
     cov = _covariance_fn(config, config.correlation_length)
-    fields = np.stack(
-        [
-            gaussian_random_field(config.height, config.width, cov, rng).ravel()
-            for _ in range(config.endmembers)
-        ]
-    )
+    fields = gaussian_random_field(config.height, config.width, cov, rng, config.endmembers)
+    fields = fields.reshape(config.endmembers, config.n_pixels)
     weights = np.clip(fields, 0.0, None) ** 2
     totals = weights.sum(axis=0)
     dead = totals <= 0.0
@@ -203,7 +202,7 @@ def gen_scaling_field(config: SynthConfig) -> ScalingField:
         return ScalingField(values=np.ones(n))
     rng = _role_rng(config.seed, _ROLE_SCALING)
     cov = _covariance_fn(config, config.scale_correlation_length)
-    g = gaussian_random_field(config.height, config.width, cov, rng).ravel()
+    g = gaussian_random_field(config.height, config.width, cov, rng, 1).ravel()
     std = g.std()
     if std < 1e-12:
         raise GenerationError("scale field collapsed to a constant")

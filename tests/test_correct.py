@@ -220,6 +220,28 @@ def test_candidate_filter_matches_reference_on_repeated_pixels():
         assert len(assert_same_candidates(reduced, 8, rng_seed=seed)) >= 1
 
 
+@pytest.mark.parametrize("n, k", [(16384, 5), (9216, 6), (144, 3), (10, 8), (8, 8), (16384, 1), (50000, 200)])
+@pytest.mark.parametrize("draws", [1, 7, 256])
+def test_k_set_draw_replays_rng_choice(n, k, draws):
+    for seed in range(3):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed == 2:
+            # start with half of a 32-bit buffer used
+            want_rng.integers(0, 5), got_rng.integers(0, 5)
+        want = np.array([want_rng.choice(n, size=k, replace=False) for _ in range(draws)])
+        assert np.array_equal(correct_module._draw_k_sets(got_rng, n, k, draws), want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_k_set_draw_above_the_tail_shuffle_threshold_gives_k_subsets():
+    # here (n > 10000, k > n // 50) numpy's choice shuffles a tail instead;
+    # the helper keeps Floyd's draw, whose rows are still K-subsets
+    sets = correct_module._draw_k_sets(np.random.default_rng(0), 12000, 300, 7)
+    assert sets.shape == (7, 300)
+    assert all(np.unique(row).size == 300 for row in sets)
+    assert sets.min() >= 0 and sets.max() < 12000
+
+
 # -------------------------------------------------------------- objective
 
 def test_psi_zero_on_hyperplane():

@@ -148,7 +148,7 @@ CHECKS = {
         lambda tmp: gen_scaling_field(scene_config(height=1, width=1)), GenerationError
     ),
     "field-indefinite-embedding": (
-        lambda tmp: gaussian_random_field(4, 4, indefinite_covariance, np.random.default_rng(0)), GenerationError
+        lambda tmp: gaussian_random_field(4, 4, indefinite_covariance, np.random.default_rng(0), 1), GenerationError
     ),
     # unmix
     "unmix-negative-abundance": (
@@ -227,3 +227,18 @@ def test_gen_endmembers_gives_up_after_the_resamples(monkeypatch):
     monkeypatch.setattr(synth_module, "_sad", lambda a, b: 0.0)
     with pytest.raises(GenerationError, match="resamples"):
         gen_endmembers(8, 2, seed=0)
+
+
+class _FlatDraws:
+    """Draws each uniform at its interval's midpoint: no ramp, zero-height bumps."""
+
+    def uniform(self, low, high):
+        return 0.5 * (low + high)
+
+    def integers(self, low, high):
+        return low
+
+
+def test_unit_curve_gives_up_on_a_flat_curve():
+    with pytest.raises(GenerationError, match="flat after"):
+        synth_module._unit_curve(8, _FlatDraws())

@@ -11,7 +11,8 @@ from hsiscale import (
     read_cube,
     write_scene,
 )
-from hsiscale.synth import _sad
+from hsiscale.fields import gaussian_random_field
+from hsiscale.synth import _covariance_fn, _sad
 
 
 def cfg(**kw):
@@ -45,7 +46,21 @@ def test_endmembers_requires_enough_bands():
         gen_endmembers(2, 3, 0)
 
 
+def test_endmembers_refuse_one_band():
+    # a one-band curve is a single point, flat on every draw
+    with pytest.raises(ValidationError, match="at least two bands"):
+        gen_endmembers(1, 1, 0)
+
+
 # ------------------------------------------------------- abundance fields
+
+def test_field_stack_equals_fields_drawn_one_at_a_time():
+    # one embedding for the stack; each field takes the next draws of the stream
+    cov = _covariance_fn(cfg(), 3.0)
+    one_rng, stack_rng = np.random.default_rng(4), np.random.default_rng(4)
+    singles = [gaussian_random_field(12, 9, cov, one_rng, 1)[0] for _ in range(3)]
+    assert np.array_equal(gaussian_random_field(12, 9, cov, stack_rng, 3), np.stack(singles))
+
 
 def test_abundance_simplex_constraints():
     a = gen_abundance_field(cfg())
