@@ -25,11 +25,11 @@ the affine chart.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .cube import HsiCube
 from .errors import (
@@ -256,6 +256,18 @@ def denom_floor_for(pixels: np.ndarray) -> float:
     return DENOM_FLOOR_REL * float(np.mean(np.linalg.norm(pixels, axis=0)))
 
 
+def _checked_normal(normal: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """``normal`` as a float64 vector, and its norm; a normal that is not a
+    finite nonzero K-vector raises."""
+    normal = np.asarray(normal, dtype=np.float64)
+    if normal.shape != (k,):
+        raise DimensionError(f"normal must have shape ({k},), got {normal.shape}")
+    norm = float(np.linalg.norm(normal))
+    if norm == 0 or not np.all(np.isfinite(normal)):
+        raise ValidationError("normal must be a finite nonzero vector")
+    return normal, norm
+
+
 def objective_psi(normal: np.ndarray, reduced: ReducedData) -> float:
     """Sum of squared distances between pixels and their ray projections.
 
@@ -265,9 +277,7 @@ def objective_psi(normal: np.ndarray, reduced: ReducedData) -> float:
     under ``MU_FLOOR`` enter with the clamped ratio. Invariant to
     rescaling or flipping ``normal``.
     """
-    normal = np.asarray(normal, dtype=np.float64)
-    if normal.shape != (reduced.k,):
-        raise DimensionError(f"normal must have shape ({reduced.k},), got {normal.shape}")
+    normal, _ = _checked_normal(normal, reduced.k)
     psi = _PsiEvaluator(reduced, reduced.mean_pixel).value(normal)
     if psi == math.inf:
         raise NearOrthogonalNormalError("normal is orthogonal to the anchor point")
@@ -346,23 +356,6 @@ class _PsiEvaluator:
         return (g - float(normal @ g) / d * self.c_star) / d
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the strict upper triangle of an m x m matrix, built once per m."""
-    return np.triu_indices(m, 1)
-
-
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every pair of columns, upper triangle.
-
-    A stack of point sets gives one row of distances per set.
-    """
-    diff = points[..., :, :, None] - points[..., :, None, :]
-    dists = np.sqrt(np.einsum("...kij,...kij->...ij", diff, diff))
-    i, j = _upper_triangle(points.shape[-1])
-    return dists[..., i, j]
-
-
 def _draw_k_sets(rng: np.random.Generator, n: int, k: int, draws: int) -> np.ndarray:
     """``draws`` K-subsets of range(n), one row each, from one integer draw.
 
@@ -392,7 +385,10 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     Each candidate solves ``B.T @ n = 1`` where B stacks K sampled reduced
     pixels; a K-set whose pixels share one scale factor yields the true
     normal exactly, so enough samples land some candidates near it. K-sets
-    that are too close together or too ill-conditioned are rejected.
+    that are too close together or too ill-conditioned are rejected: a
+    set's smallest Euclidean distance between two of its pixels must reach
+    ``CANDIDATE_MIN_SEPARATION`` times the median distance over all pairs
+    of a random sub-sample of at most 512 pixels.
 
     The K-sets are tested in batches of at most as many sets as are still
     missing, so the result is that of testing each draw as it comes. Each
@@ -413,7 +409,8 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     min_separation = 0.0
     if k >= 2:
         sub = pixels[:, rng.choice(n, size=min(n, _SEPARATION_SUBSAMPLE), replace=False)]
-        min_separation = CANDIDATE_MIN_SEPARATION * float(np.median(_pairwise_distances(sub)))
+        min_separation = CANDIDATE_MIN_SEPARATION * float(np.median(pdist(sub.T)))
+    off_diagonal = ~np.eye(k, dtype=bool)
 
     accepted: list[np.ndarray] = []
     budget = CANDIDATE_MAX_RETRIES * count
@@ -423,7 +420,8 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
         idx = _draw_k_sets(rng, n, k, draws)
         sets = pixels[:, idx].transpose(1, 0, 2)  # (draws, K, K), one pixel per column
         if k >= 2:
-            sets = sets[_pairwise_distances(sets).min(axis=1) >= min_separation]
+            gaps = np.linalg.norm(sets[..., None] - sets[..., None, :], axis=1)
+            sets = sets[gaps[:, off_diagonal].min(axis=1) >= min_separation]
         # numpy's cond reads a 0/0 ratio as inf, not nan, so the test rejects it
         for b in sets[np.linalg.cond(sets) <= CANDIDATE_MAX_COND]:
             try:
@@ -450,10 +448,10 @@ def pso_minimize(
 
     Supplied normals become the first particles (the swarm grows to hold
     them all), so the result is never worse than the best of them. Each
-    particle owns an RNG stream split from ``seed``; schedules that
-    evaluate particles in any order produce identical results. Position
-    updates renormalize onto the unit sphere, matching the objective's
-    scale invariance.
+    particle owns an RNG stream spawned from ``seed`` by its index, so a
+    swarm grown to hold more starts leaves the first particles' draws
+    unchanged. Position updates renormalize onto the unit sphere, matching
+    the objective's scale invariance.
     """
     if not initial_normals:
         raise ValidationError("at least one initial normal is required")
@@ -467,10 +465,7 @@ def pso_minimize(
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_particles)]
     for i in range(n_particles):
         if i < len(initial_normals):
-            vec = np.asarray(initial_normals[i], dtype=np.float64)
-            norm = np.linalg.norm(vec)
-            if vec.shape != (k,) or norm == 0:
-                raise ValidationError(f"initial normal {i} is not a nonzero {k}-vector")
+            vec, norm = _checked_normal(initial_normals[i], k)
             # keep already-unit vectors bit-identical so their objective
             # matches any evaluation done before the search
             positions[i] = vec if abs(norm - 1.0) <= 1e-12 else vec / norm
@@ -529,10 +524,7 @@ def gd_refine(
     onto the sphere. The result never scores worse than the start.
     """
     evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
-    n = np.asarray(start_normal, dtype=np.float64)
-    norm = np.linalg.norm(n)
-    if norm == 0 or n.shape != (reduced.k,):
-        raise ValidationError("start normal must be a nonzero K-vector")
+    n, norm = _checked_normal(start_normal, reduced.k)
     n = n / norm
     psi = evaluator.value(n)
     if not math.isfinite(psi):
@@ -585,14 +577,11 @@ def newton_refine(start_normal: np.ndarray, reduced: ReducedData) -> np.ndarray:
     shrinks; a failed Cholesky factorization or a rejected step grows it
     (Marquardt 1963). The result never scores worse than the start, which
     comes back as given for K = 1 or off the objective's domain. Only a
-    zero or misshaped start raises.
+    misshaped, zero or non-finite start raises.
     """
     if reduced.k == 1:
         return start_normal
-    n = np.asarray(start_normal, dtype=np.float64)
-    norm = np.linalg.norm(n)
-    if norm == 0 or n.shape != (reduced.k,):
-        raise ValidationError("start normal must be a nonzero K-vector")
+    n, norm = _checked_normal(start_normal, reduced.k)
     n = n / norm
     evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
     psi = evaluator.value(n)

@@ -212,9 +212,13 @@ def nfindr_extract(
 
     Repeated single-vertex sweeps: each vertex is replaced by the pixel
     farthest from the affine hull of the remaining vertices whenever that
-    grows the volume. Several seeded random starts are swept and the
-    largest simplex wins. Returned signatures live in the original band
-    space via the stored subspace basis.
+    grows the volume. No sweep can shrink it, so none is checked for that:
+    the volume is the other vertices' base times the height over their
+    affine hull, and a swap to a pixel strictly farther from that hull
+    grows it by the ratio of the two distances. Several seeded random
+    starts are swept and the largest simplex wins, its volume taken once
+    after its sweeps. Returned signatures live in the original band space
+    via the stored subspace basis.
     """
     pixels = reduced.pixels
     n = reduced.n_pixels
@@ -232,9 +236,7 @@ def nfindr_extract(
     best_vol = -1.0
     for _ in range(NFINDR_STARTS):
         idx = rng.choice(n, size=k, replace=False)
-        vol = _simplex_volume(pixels[:, idx])
         for _ in range(NFINDR_SWEEPS):
-            flat = _is_flat(pixels[:, idx])
             swapped = False
             for j in range(k):
                 others = np.delete(idx, j)
@@ -244,12 +246,9 @@ def nfindr_extract(
                     idx = idx.copy()
                     idx[j] = cand
                     swapped = True
-            new_vol = _simplex_volume(pixels[:, idx])
-            if new_vol < vol * (1.0 - 1e-9) and not flat:
-                raise NumericError("simplex volume decreased across a sweep")
-            vol = new_vol
             if not swapped:
                 break
+        vol = _simplex_volume(pixels[:, idx])
         if vol > best_vol:
             best_vol = vol
             best_idx = idx

@@ -200,6 +200,19 @@ def test_candidate_filter_matches_reference_in_small_batches(monkeypatch, filter
     assert_same_candidates(filter_scenes["noisy"], 64, rng_seed=11)
 
 
+@pytest.mark.parametrize("scene", ["bench", "noisy"])
+def test_candidate_filter_memory_is_bounded(filter_scenes, scene):
+    # no all-pairs temporary of the 512-pixel separation sub-sample
+    candidate_normals(filter_scenes[scene], 200, 1)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        candidate_normals(filter_scenes[scene], 200, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("scene", ["k2", "k8"])
 @pytest.mark.parametrize("count", [8, 200])
 def test_candidate_filter_matches_reference_for_k2_and_k8(filter_scenes, scene, count):

@@ -101,11 +101,18 @@ CHECKS = {
     "pso-zero-iterations": (lambda tmp: PsoConfig(iterations=0), ValidationError),
     "gd-zero-iterations": (lambda tmp: GdConfig(max_iters=0), ValidationError),
     "psi-normal-shape": (lambda tmp: objective_psi(np.ones(3), REDUCED), DimensionError),
+    "psi-inf-normal": (lambda tmp: objective_psi(np.array([np.inf, 1.0]), REDUCED), ValidationError),
+    "psi-nan-normal": (lambda tmp: objective_psi(np.array([np.nan, 1.0]), REDUCED), ValidationError),
     "candidates-zero-count": (lambda tmp: candidate_normals(REDUCED, 0, 0), ValidationError),
     "candidates-fewer-pixels-than-k": (lambda tmp: candidate_normals(SHORT, 1, 0), DimensionError),
     "pso-no-start": (lambda tmp: pso_minimize(REDUCED, [], PsoConfig(), 0), ValidationError),
     "pso-zero-start": (lambda tmp: pso_minimize(REDUCED, [np.zeros(2)], PsoConfig(), 0), ValidationError),
+    "pso-inf-start": (
+        lambda tmp: pso_minimize(REDUCED, [np.array([np.inf, 1.0])], PsoConfig(), 0), ValidationError
+    ),
     "gd-zero-start": (lambda tmp: gd_refine(np.zeros(2), REDUCED, GdConfig()), ValidationError),
+    "gd-nan-start": (lambda tmp: gd_refine(np.array([np.nan, 1.0]), REDUCED, GdConfig()), ValidationError),
+    "newton-inf-start": (lambda tmp: newton_refine(np.array([np.inf, 1.0]), REDUCED), ValidationError),
     "gd-orthogonal-start": (lambda tmp: gd_refine(ORTHOGONAL, REDUCED, GdConfig()), OptimizationError),
     "correct-pixels-length": (
         lambda tmp: correct_pixels(CUBE, ScalingField(values=np.ones(3))), DimensionError
