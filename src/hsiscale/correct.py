@@ -26,6 +26,8 @@ the affine chart.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,11 @@ _NEWTON_DAMPING_INITIAL = 1e-3
 _NEWTON_DAMPING_FACTOR = 10.0
 _NEWTON_DAMPING_MAX = 1e12
 _NEWTON_REL_TOL = 1e-15
+# threads that share the objective kernel's blocks with its caller, one per
+# further CPU this process may use (none where the OS reports no CPU
+# affinity); the pool starts them on its first task
+_HELPER_COUNT = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+_HELPER_POOL = ThreadPoolExecutor(_HELPER_COUNT, thread_name_prefix="psi") if _HELPER_COUNT else None
 
 
 @dataclass(frozen=True)
@@ -110,10 +117,7 @@ class HyperplaneModel:
     @staticmethod
     def build(c_star: np.ndarray, normal: np.ndarray, denom_floor: float) -> "HyperplaneModel":
         """Normalize, fix the sign, and reject near-orthogonal normals."""
-        normal = np.asarray(normal, dtype=np.float64)
-        norm = np.linalg.norm(normal)
-        if norm == 0 or not np.all(np.isfinite(normal)):
-            raise ValidationError("normal must be a finite nonzero vector")
+        normal, norm = _checked_normal(normal, np.size(c_star))
         unit = normal / norm
         denom = float(c_star @ unit)
         if denom < 0:
@@ -258,12 +262,20 @@ def denom_floor_for(pixels: np.ndarray) -> float:
 
 def _checked_normal(normal: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """``normal`` as a float64 vector, and its norm; a normal that is not a
-    finite nonzero K-vector raises."""
+    finite nonzero K-vector raises. A nonzero normal whose squared norm
+    overflows or underflows comes back divided by its largest magnitude,
+    which keeps its direction."""
     normal = np.asarray(normal, dtype=np.float64)
     if normal.shape != (k,):
         raise DimensionError(f"normal must have shape ({k},), got {normal.shape}")
-    norm = float(np.linalg.norm(normal))
-    if norm == 0 or not np.all(np.isfinite(normal)):
+    if not np.all(np.isfinite(normal)):
+        raise ValidationError("normal must be a finite nonzero vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(normal))
+    if norm in (0.0, math.inf) and normal.any():
+        normal = normal / np.max(np.abs(normal))
+        norm = float(np.linalg.norm(normal))
+    if norm == 0:
         raise ValidationError("normal must be a finite nonzero vector")
     return normal, norm
 
@@ -289,10 +301,13 @@ class _PsiEvaluator:
 
     ``batch`` is the one place the objective is computed. It works through
     the valid particles in blocks of ``max(1, BLOCK_BYTES // (8 N))`` rows,
-    fused and in place in one float64 block, which ``__init__`` allocates
-    once; scratch is O(N) whatever the swarm size. That shared scratch
-    makes an evaluator not reentrant: give each thread its own. Invalid
-    normals score +inf instead of raising.
+    fused and in place in a float64 scratch block. A batch of two or more
+    blocks hands them out from one iterator to the caller and to the
+    ``_HELPER_POOL`` threads; each worker owns one scratch block, so scratch is
+    O(N) per worker whatever the swarm size. A row's score depends only on
+    the block it falls in, so it is bit for bit the same at any thread
+    count. The scratch makes an evaluator not reentrant: give each calling
+    thread its own. Invalid normals score +inf instead of raising.
     """
 
     def __init__(self, reduced: ReducedData, c_star: np.ndarray):
@@ -301,7 +316,8 @@ class _PsiEvaluator:
         self.sq_norms = np.einsum("ij,ij->j", self.pixels, self.pixels)
         self.denom_floor = denom_floor_for(self.pixels)
         n = self.pixels.shape[1]
-        self._block = np.empty((max(1, BLOCK_BYTES // (8 * n)), n))
+        self._block = np.empty((max(1, BLOCK_BYTES // (8 * n)), n))  # the caller's
+        self._helper_blocks: list[np.ndarray] = []
 
     def value(self, normal: np.ndarray) -> float:
         return float(self.batch(normal[None])[0])
@@ -311,19 +327,35 @@ class _PsiEvaluator:
         d = normals @ self.c_star                      # (P,)
         out = np.full(normals.shape[0], np.inf)
         valid = np.flatnonzero(np.abs(d) >= self.denom_floor)
+        # the objective is even in n and negation is exact: turning every row
+        # to d > 0 makes a zero n . p give 1/mu = d / +0 = +inf, clamped positive
+        oriented = normals[valid] * np.copysign(1.0, d[valid])[:, None]
+        d = np.abs(d[valid])
         rows = self._block.shape[0]
-        for start in range(0, valid.size, rows):
-            r = valid[start:start + rows]
-            s = self._block[: r.size]
-            np.matmul(normals[r], self.pixels, out=s)  # s = n . p
-            s /= d[r, None]                            # mu
-            s += 0.0                                   # -0.0 to +0.0, so zeros clamp to +MU_FLOOR
-            with np.errstate(divide="ignore", over="ignore"):
-                np.divide(1.0, s, out=s)               # 1/mu, +-inf where mu is (near) zero
-            np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # the clamp |mu| >= MU_FLOOR, sign kept
-            np.subtract(1.0, s, out=s)
-            np.square(s, out=s)
-            out[r] = s @ self.sq_norms
+        starts = iter(range(0, valid.size, rows))      # one block at a time, to any worker
+
+        def fill(block: np.ndarray) -> None:
+            """Score the blocks that ``starts`` hands out, in ``block``."""
+            with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
+                for i in starts:
+                    n = oriented[i:i + rows]
+                    s = block[: n.shape[0]]
+                    np.matmul(n, self.pixels, out=s)   # s = n . p
+                    s += 0.0                           # -0.0 to +0.0, so zeros clamp to +1/MU_FLOOR
+                    np.divide(d[i:i + rows, None], s, out=s)  # 1/mu, +-inf where s is (near) zero
+                    np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # clamp |mu| >= MU_FLOOR, sign kept
+                    np.subtract(1.0, s, out=s)
+                    np.square(s, out=s)
+                    out[valid[i:i + rows]] = s @ self.sq_norms
+
+        helpers = _HELPER_COUNT if valid.size > rows else 0
+        while len(self._helper_blocks) < helpers:
+            self._helper_blocks.append(np.empty_like(self._block))
+        tasks = [_HELPER_POOL.submit(fill, block) for block in self._helper_blocks[:helpers]]
+        fill(self._block)
+        for task in tasks:  # every block is done or in a helper's hands
+            if not task.cancel():
+                task.result()
         return out
 
     def chart_system(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

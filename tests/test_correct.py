@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -403,6 +407,127 @@ def test_psi_batch_scratch_is_bounded():
         tracemalloc.stop()
     assert np.isfinite(values).any()
     assert peak < 0.1 * normals.shape[0] * n * 8
+
+
+def use_helpers(monkeypatch, pool, count):
+    """Make ``batch`` share its blocks with ``count`` tasks on ``pool``."""
+    monkeypatch.setattr(correct_module, "_HELPER_POOL", pool)
+    monkeypatch.setattr(correct_module, "_HELPER_COUNT", count)
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+def test_psi_batch_is_bitwise_the_same_at_any_helper_count(monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(correct_module, "BLOCK_BYTES", block_rows * 8 * 500)
+    evaluator, normals = kernel_case(296)
+    assert normals.shape[0] > evaluator._block.shape[0]  # two blocks at least
+    use_helpers(monkeypatch, None, 0)
+    want = evaluator.batch(normals)
+    # more workers than CPUs, switching threads often: a block lost or
+    # scored twice between the workers would leave or change a row
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 3):
+            with ThreadPoolExecutor(count) as pool:
+                use_helpers(monkeypatch, pool, count)
+                np.testing.assert_array_equal(evaluator.batch(normals), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _LateTask(Future):
+    """A task marked as started, so it cannot be cancelled, that runs only
+    when its result is asked for."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.set_running_or_notify_cancel()
+        self._call = (fn, args)
+
+    def result(self, timeout=None):
+        fn, args = self._call
+        self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class _LatePool:
+    """Its tasks start after the caller has scored every block."""
+
+    def submit(self, fn, *args):
+        return _LateTask(fn, args)
+
+
+def test_psi_batch_is_whole_when_helpers_start_late_or_never(monkeypatch):
+    monkeypatch.setattr(correct_module, "BLOCK_BYTES", 7 * 8 * 500)
+    evaluator, normals = kernel_case(296)
+    use_helpers(monkeypatch, None, 0)
+    want = evaluator.batch(normals)
+    use_helpers(monkeypatch, _LatePool(), 2)
+    np.testing.assert_array_equal(evaluator.batch(normals), want)
+    # a pool whose one thread is busy: the helper task never starts, so the
+    # caller has to cancel it rather than wait until the thread is free
+    with ThreadPoolExecutor(1) as pool:
+        gate = threading.Event()
+        busy = pool.submit(gate.wait, 10.0)
+        use_helpers(monkeypatch, pool, 1)
+        got = evaluator.batch(normals)
+        assert not busy.done()
+        gate.set()
+    np.testing.assert_array_equal(got, want)
+
+
+class _ThreadNowPool:
+    """Runs each task to its end on a new thread as it is submitted, so the
+    first helper scores every block."""
+
+    def __init__(self):
+        self.threads = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_running_or_notify_cancel()
+
+        def run():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        self.threads.append(thread.ident)
+        return future
+
+
+def test_psi_batch_helper_raises_no_floating_point_warning(monkeypatch):
+    # the first block holds e1 and -e1, whose ratios overflow or divide by
+    # zero; a helper thread that lacked its own errstate would warn there, and
+    # pyproject.toml turns any RuntimeWarning into an error
+    monkeypatch.setattr(correct_module, "BLOCK_BYTES", 7 * 8 * 500)
+    evaluator, normals = kernel_case(296)
+    use_helpers(monkeypatch, None, 0)
+    want = evaluator.batch(normals)
+    pool = _ThreadNowPool()
+    use_helpers(monkeypatch, pool, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        np.testing.assert_array_equal(evaluator.batch(normals), want)
+    assert len(pool.threads) == 1 and pool.threads[0] != threading.get_ident()
+
+
+def test_run_correction_is_bitwise_the_same_with_or_without_helpers(monkeypatch):
+    # at 64 x 64 px a block holds 32 particles, so every swarm batch splits
+    scene = gen_scene(SynthConfig(height=64, width=64, bands=20, endmembers=4, scale_std=0.3, seed=3))
+    with ThreadPoolExecutor(2) as pool:
+        use_helpers(monkeypatch, pool, 2)
+        _, want = run_correction(scene.scaled_cube, 4, rng_seed=5)
+    use_helpers(monkeypatch, None, 0)
+    _, got = run_correction(scene.scaled_cube, 4, rng_seed=5)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert np.array_equal(got.mu_hat.values, want.mu_hat.values)
 
 
 # --------------------------------------------------------------- gradient

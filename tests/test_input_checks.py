@@ -47,7 +47,7 @@ from hsiscale import (
     save_vector,
     svd_reduce,
 )
-from hsiscale.correct import _PsiEvaluator
+from hsiscale.correct import _PsiEvaluator, denom_floor_for
 from hsiscale.fields import gaussian_random_field
 from hsiscale.fileio import write_matrix_f32
 from hsiscale.unmix import UnmixResult
@@ -91,6 +91,9 @@ CHECKS = {
     ),
     "model-denom-not-positive": (
         lambda tmp: HyperplaneModel(np.ones(2), np.array([1.0, 0.0]), 0.0), ValidationError
+    ),
+    "model-build-shapes-differ": (
+        lambda tmp: HyperplaneModel.build(np.ones(2), np.ones(3), 0.0), DimensionError
     ),
     "model-build-nan-normal": (
         lambda tmp: HyperplaneModel.build(np.ones(2), np.array([np.nan, 1.0]), 0.0), ValidationError
@@ -177,6 +180,24 @@ def test_input_check_raises(tmp_path, case):
     with pytest.raises(error) as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+def test_normal_whose_squares_overflow_or_underflow_keeps_its_direction(magnitude):
+    # 1e200**2 overflows to inf and 1e-200**2 underflows to 0; every start
+    # check rescales such a normal by its largest magnitude, which gives
+    # exactly the normal [1, 1]
+    scaled, ones = np.full(2, magnitude), np.ones(2)
+    floor = denom_floor_for(REDUCED.pixels)
+    want = HyperplaneModel.build(REDUCED.mean_pixel, ones, floor)
+    assert np.array_equal(HyperplaneModel.build(REDUCED.mean_pixel, scaled, floor).normal, want.normal)
+    assert objective_psi(scaled, REDUCED) == objective_psi(ones, REDUCED)
+    for search in (
+        lambda n: gd_refine(n, REDUCED, GdConfig(max_iters=3)),
+        lambda n: newton_refine(n, REDUCED),
+        lambda n: pso_minimize(REDUCED, [n], PsoConfig(iterations=2), 0),
+    ):
+        assert np.array_equal(search(scaled), search(ones))
 
 
 def test_newton_refine_retries_a_failed_factorization(monkeypatch):
