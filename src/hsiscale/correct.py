@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -85,6 +86,9 @@ _NEWTON_REL_TOL = 1e-15
 # further CPU this process may use (none where the OS reports no CPU
 # affinity); the pool starts them on its first task
 _HELPER_COUNT = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+# helpers one batch may use, so its scratch stays within eight blocks
+# however many CPUs the host has
+_MAX_HELPERS = 7
 _HELPER_POOL = ThreadPoolExecutor(_HELPER_COUNT, thread_name_prefix="psi") if _HELPER_COUNT else None
 
 
@@ -302,12 +306,14 @@ class _PsiEvaluator:
     ``batch`` is the one place the objective is computed. It works through
     the valid particles in blocks of ``max(1, BLOCK_BYTES // (8 N))`` rows,
     fused and in place in a float64 scratch block. A batch of two or more
-    blocks hands them out from one iterator to the caller and to the
-    ``_HELPER_POOL`` threads; each worker owns one scratch block, so scratch is
-    O(N) per worker whatever the swarm size. A row's score depends only on
-    the block it falls in, so it is bit for bit the same at any thread
-    count. The scratch makes an evaluator not reentrant: give each calling
-    thread its own. Invalid normals score +inf instead of raising.
+    blocks hands them out, one at a time under a lock, to the caller and to
+    at most ``_MAX_HELPERS`` threads of ``_HELPER_POOL``, never more helpers
+    than blocks after the first. Each worker owns one scratch block, so
+    scratch is O(N) whatever the swarm size or the CPU count. A row's score
+    depends only on the block it falls in, so it is bit for bit the same at
+    any thread count. The scratch makes an evaluator not reentrant: give
+    each calling thread its own. Invalid normals score +inf instead of
+    raising.
     """
 
     def __init__(self, reduced: ReducedData, c_star: np.ndarray):
@@ -333,11 +339,16 @@ class _PsiEvaluator:
         d = np.abs(d[valid])
         rows = self._block.shape[0]
         starts = iter(range(0, valid.size, rows))      # one block at a time, to any worker
+        handout = threading.Lock()                     # sharing an iterator is unsafe without a GIL
 
         def fill(block: np.ndarray) -> None:
             """Score the blocks that ``starts`` hands out, in ``block``."""
             with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
-                for i in starts:
+                while True:
+                    with handout:
+                        i = next(starts, None)
+                    if i is None:
+                        return
                     n = oriented[i:i + rows]
                     s = block[: n.shape[0]]
                     np.matmul(n, self.pixels, out=s)   # s = n . p
@@ -348,14 +359,17 @@ class _PsiEvaluator:
                     np.square(s, out=s)
                     out[valid[i:i + rows]] = s @ self.sq_norms
 
-        helpers = _HELPER_COUNT if valid.size > rows else 0
+        later_blocks = len(range(rows, valid.size, rows))
+        helpers = min(_HELPER_COUNT, _MAX_HELPERS, later_blocks)
         while len(self._helper_blocks) < helpers:
             self._helper_blocks.append(np.empty_like(self._block))
         tasks = [_HELPER_POOL.submit(fill, block) for block in self._helper_blocks[:helpers]]
-        fill(self._block)
-        for task in tasks:  # every block is done or in a helper's hands
-            if not task.cancel():
-                task.result()
+        try:
+            fill(self._block)
+        finally:  # even if the caller fails, no helper outlives the batch
+            for task in tasks:
+                if not task.cancel():
+                    task.result()
         return out
 
     def chart_system(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

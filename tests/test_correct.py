@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -516,6 +517,117 @@ def test_psi_batch_helper_raises_no_floating_point_warning(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         np.testing.assert_array_equal(evaluator.batch(normals), want)
     assert len(pool.threads) == 1 and pool.threads[0] != threading.get_ident()
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A thread pool that keeps every task submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        task = super().submit(fn, *args)
+        self.tasks.append(task)
+        return task
+
+
+def block_count(evaluator, normals):
+    valid = np.count_nonzero(np.abs(normals @ evaluator.c_star) >= evaluator.denom_floor)
+    return -(-valid // evaluator._block.shape[0])
+
+
+def test_psi_batch_scratch_is_bounded_with_many_helpers(monkeypatch):
+    # the bound of test_psi_batch_scratch_is_bounded, on a host with 64 CPUs
+    rng = np.random.default_rng(22)
+    n = 262144
+    reduced = ReducedData(
+        basis=np.eye(5), pixels=rng.uniform(0.5, 1.5, (5, n)), singular_values=np.arange(5.0, 0.0, -1.0)
+    )
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
+    normals = rng.standard_normal((200, 5))
+    with _CountingPool(63) as pool:
+        use_helpers(monkeypatch, pool, 63)
+        tracemalloc.start()
+        try:
+            values = evaluator.batch(normals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert np.isfinite(values).any()
+    assert peak < 0.1 * normals.shape[0] * n * 8
+    assert len(pool.tasks) == len(evaluator._helper_blocks) == correct_module._MAX_HELPERS
+
+
+def test_psi_batch_takes_no_more_helpers_than_blocks_after_the_first(monkeypatch):
+    monkeypatch.setattr(correct_module, "BLOCK_BYTES", 7 * 8 * 500)
+    evaluator, normals = kernel_case(6)
+    assert block_count(evaluator, normals) == 2
+    with _CountingPool(63) as pool:
+        use_helpers(monkeypatch, pool, 63)
+        evaluator.batch(normals)
+        evaluator.batch(normals[:1])  # one block: no helper at all
+    assert len(pool.tasks) == len(evaluator._helper_blocks) == 1
+
+
+def test_psi_batch_hands_each_block_to_one_worker(monkeypatch):
+    monkeypatch.setattr(correct_module, "BLOCK_BYTES", 7 * 8 * 500)
+    evaluator, normals = kernel_case(296)
+    use_helpers(monkeypatch, None, 0)
+    want = evaluator.batch(normals)
+    # the caller and the helpers each wait, holding their first block, until
+    # the other side has taken one, so the blocks are surely shared
+    caller = threading.get_ident()
+    started = {True: threading.Event(), False: threading.Event()}
+    scorers = []
+    matmul = np.matmul
+
+    def matmul_by_thread(*args, **kwargs):
+        scorers.append(threading.get_ident())
+        is_caller = threading.get_ident() == caller
+        started[is_caller].set()
+        assert started[not is_caller].wait(30.0)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", matmul_by_thread)
+    with ThreadPoolExecutor(3) as pool:
+        use_helpers(monkeypatch, pool, 3)
+        got = evaluator.batch(normals)
+    np.testing.assert_array_equal(got, want)
+    assert len(scorers) == block_count(evaluator, normals)  # none scored twice
+    assert caller in scorers and len(set(scorers)) > 1
+
+
+class _CallerFailed(Exception):
+    pass
+
+
+def test_psi_batch_waits_for_its_helpers_when_the_caller_fails(monkeypatch):
+    monkeypatch.setattr(correct_module, "BLOCK_BYTES", 7 * 8 * 500)
+    evaluator, normals = kernel_case(296)
+    use_helpers(monkeypatch, None, 0)
+    want = evaluator.batch(normals)
+    # the caller fails once a helper is busy scoring blocks, which it does slowly
+    caller = threading.get_ident()
+    helper_started = threading.Event()
+    matmul = np.matmul
+
+    def failing_matmul(*args, **kwargs):
+        if threading.get_ident() == caller:
+            assert helper_started.wait(30.0)
+            raise _CallerFailed
+        helper_started.set()
+        time.sleep(1e-3)
+        return matmul(*args, **kwargs)
+
+    with _CountingPool(1) as pool:
+        use_helpers(monkeypatch, pool, 1)
+        monkeypatch.setattr(np, "matmul", failing_matmul)
+        with pytest.raises(_CallerFailed):
+            evaluator.batch(normals)
+        assert len(pool.tasks) == 1 and pool.tasks[0].done()
+        monkeypatch.setattr(np, "matmul", matmul)
+        np.testing.assert_array_equal(evaluator.batch(normals), want)
 
 
 def test_run_correction_is_bitwise_the_same_with_or_without_helpers(monkeypatch):
