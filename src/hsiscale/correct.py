@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .cube import HsiCube
 from .errors import (
@@ -59,6 +58,7 @@ CANDIDATE_MIN_SEPARATION = 0.5
 CANDIDATE_MAX_COND = 1e6
 CANDIDATE_MAX_RETRIES = 20
 _SEPARATION_SUBSAMPLE = 512
+_PAIR_ROWS = 64  # rows of the sub-sample's distance triangle computed at once
 _CANDIDATE_BATCH = 256  # K-sets tested at once; bounds the draws x K^3 distance temporary
 # swarm weights: the constriction values of Clerc & Kennedy (IEEE TEVC 2002)
 _PSO_INERTIA = 0.72
@@ -382,12 +382,17 @@ class _PsiEvaluator:
         drop out: their residual is locally constant, so their 1/mu is
         taken as zero. O(N K^2).
         """
+        grad, mu, inv, a = self._chart_gradient(m)
+        hess = 2.0 * (self.pixels * (a * inv**2 * (3.0 - 2.0 * mu))) @ self.pixels.T
+        return grad, hess
+
+    def _chart_gradient(self, m: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Chart gradient at ``m``, with the mu, 1/mu and w/mu^2 it is built
+        from (see ``chart_system``). O(N K)."""
         mu = (m @ self.pixels) / float(self.c_star @ m)
         inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=np.abs(mu) >= MU_FLOOR)
         a = self.sq_norms * inv**2
-        grad = 2.0 * (self.pixels @ (a * (1.0 - inv)))
-        hess = 2.0 * (self.pixels * (a * inv**2 * (3.0 - 2.0 * mu))) @ self.pixels.T
-        return grad, hess
+        return 2.0 * (self.pixels @ (a * (1.0 - inv))), mu, inv, a
 
     def gradient(self, normal: np.ndarray) -> np.ndarray:
         """Euclidean gradient of the objective at ``normal``.
@@ -398,7 +403,7 @@ class _PsiEvaluator:
         d = float(self.c_star @ normal)
         if abs(d) < self.denom_floor:
             raise NearOrthogonalNormalError("cannot differentiate at an orthogonal normal")
-        g, _ = self.chart_system(normal)
+        g = self._chart_gradient(normal)[0]
         return (g - float(normal @ g) / d * self.c_star) / d
 
 
@@ -423,6 +428,28 @@ def _draw_k_sets(rng: np.random.Generator, n: int, k: int, draws: int) -> np.nda
         j = swaps[:, k - 1 - i]
         sets[rows, i], sets[rows, j] = sets[rows, j], sets[rows, i]
     return sets
+
+
+def _median_pair_distance(points: np.ndarray) -> float:
+    """Median Euclidean distance over all pairs of columns of ``points``.
+
+    Each squared distance sums its K terms in coordinate order, then takes
+    the root, as ``scipy.spatial.distance.pdist`` does, so the result equals
+    ``np.median(pdist(points.T))``. The upper triangle is filled
+    ``_PAIR_ROWS`` rows at a time: no m x m temporary.
+    """
+    m = points.shape[1]
+    dists = np.empty(m * (m - 1) // 2)
+    filled = 0
+    for start in range(0, m - 1, _PAIR_ROWS):
+        stop = min(start + _PAIR_ROWS, m - 1)
+        sq = np.zeros((stop - start, m - start - 1))  # row i, column j > start
+        for row, col in zip(points[:, start:stop, None], points[:, None, start + 1:]):
+            sq += (row - col) ** 2
+        upper = sq[np.triu(np.ones(sq.shape, dtype=bool))]  # the pairs with j > i
+        dists[filled:filled + upper.size] = np.sqrt(upper)
+        filled += upper.size
+    return float(np.median(dists, overwrite_input=True))
 
 
 def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
@@ -455,7 +482,7 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     min_separation = 0.0
     if k >= 2:
         sub = pixels[:, rng.choice(n, size=min(n, _SEPARATION_SUBSAMPLE), replace=False)]
-        min_separation = CANDIDATE_MIN_SEPARATION * float(np.median(pdist(sub.T)))
+        min_separation = CANDIDATE_MIN_SEPARATION * _median_pair_distance(sub)
     off_diagonal = ~np.eye(k, dtype=bool)
 
     accepted: list[np.ndarray] = []

@@ -5,7 +5,6 @@ and the statistical ceiling on hyperplane placement error.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .correct import ScalingField
 from .cube import HsiCube
@@ -36,6 +35,8 @@ def match_endmembers(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     Hungarian assignment on the pairwise spectral-angle matrix; entry i of
     the result is the estimated column paired with reference column i.
     """
+    from scipy.optimize import linear_sum_assignment  # here, so import hsiscale loads numpy only
+
     m = np.asarray(m, dtype=np.float64)
     m_hat = np.asarray(m_hat, dtype=np.float64)
     if m.shape[1] != m_hat.shape[1]:

@@ -27,8 +27,6 @@ FIELD_KINDS = ("matern", "spheric")
 MIN_ENDMEMBER_SAD = 0.1
 MAX_RESAMPLES = 100
 SCALE_CLAMP = 0.1
-# smoothness of the Matern covariance fields
-MATERN_NU = 1.5
 # role indices for per-generator seed streams, so calling a generator
 # directly or through gen_scene yields the same draws
 _ROLE_ENDMEMBERS, _ROLE_ABUNDANCE, _ROLE_SCALING, _ROLE_NOISE = range(4)
@@ -90,7 +88,7 @@ def _role_rng(seed: int, role: int) -> np.random.Generator:
 def _covariance_fn(config: SynthConfig, corr_length: float):
     if config.field_kind == "spheric":
         return partial(spherical_covariance, corr_length=corr_length)
-    return partial(matern_covariance, corr_length=corr_length, nu=MATERN_NU)
+    return partial(matern_covariance, corr_length=corr_length)
 
 
 def _unit_curve(bands: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.optimize import nnls  # noqa: F401  not called; perfbench counts calls to this name
 
 from .errors import DegenerateDataError, DimensionError, NumericError, ValidationError
 from .reduction import ReducedData
@@ -25,6 +24,18 @@ NFINDR_STARTS = 3
 NFINDR_SWEEPS = 10
 # relative volume improvement required to accept a vertex swap
 _SWAP_TOL = 1e-12
+
+
+def __getattr__(name: str):
+    """Resolve ``nnls`` on first access (PEP 562), so importing this module
+    loads no scipy. Nothing here calls it; perfbench counts calls to the
+    name. ROADMAP item 1(c) deletes both."""
+    if name != "nnls":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import nnls
+
+    globals()["nnls"] = nnls
+    return nnls
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,50 @@ def test_signalling_nan_payload_prints_one_error_line(tmp_path, command, error):
     assert len(lines) == 1 and lines[0].startswith(f"error[{error}]: "), result.stderr
 
 
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import hsiscale, hsiscale.cli
+
+out = Path(sys.argv[1])
+scene, corrected, unmixed = out / "scene", out / "c.hsic", out / "u"
+steps = [
+    ["synth", "--height", "12", "--width", "12", "--bands", "20", "--endmembers", "3",
+     "--seed", "5", "--out", str(scene)],
+    ["correct", "--input", str(scene / "scaled.hsic"), "--endmembers", "3",
+     "--out", str(corrected), "--mu-out", str(out / "mu.f32"), "--seed", "5"],
+    ["unmix", "--input", str(corrected), "--endmembers", "3", "--extract", "nfindr",
+     "--seed", "5", "--out", str(unmixed)],
+    ["eval", "mu", "--pred", str(out / "mu.f32"), "--truth", str(scene / "mu_true.f32")],
+]
+codes = [hsiscale.cli.main(argv) for argv in steps]
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+(out / "before.json").write_text(json.dumps({"codes": codes, "scipy": loaded}))
+sys.exit(hsiscale.cli.main([
+    "eval", "abundance", "--pred", str(unmixed / "abundances.csv"),
+    "--truth", str(scene / "abundances.csv"),
+    "--pred-endmembers", str(unmixed / "endmembers.csv"),
+    "--truth-endmembers", str(scene / "endmembers.csv"),
+]))
+"""
+
+
+def test_synth_correct_unmix_eval_mu_load_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has loaded scipy already
+    src = str(Path(hsiscale.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    before = json.loads((tmp_path / "before.json").read_text())
+    assert before == {"codes": [0, 0, 0, 0], "scipy": []}
+    # pairing endmembers still works: the Hungarian matching imports scipy itself
+    assert result.returncode == 0, result.stderr
+    assert "abundance_rmse" in result.stdout
+
+
 def test_eval_mu_self_is_zero(tmp_path, capsys):
     scene = synth(tmp_path)
     code = main([

@@ -8,6 +8,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from hsiscale import (
     DegenerateDataError,
@@ -37,6 +38,7 @@ import hsiscale.correct as correct_module
 from hsiscale.correct import (
     MU_FLOOR,
     CorrectionReport,
+    _median_pair_distance,
     _PsiEvaluator,
     denom_floor_for,
 )
@@ -216,6 +218,24 @@ def test_candidate_filter_memory_is_bounded(filter_scenes, scene):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("scene", ["bench", "noisy"])
+def test_median_pair_distance_equals_pdist_on_benchmark_scenes(filter_scenes, scene):
+    pixels = filter_scenes[scene].pixels
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        sub = pixels[:, rng.choice(pixels.shape[1], size=correct_module._SEPARATION_SUBSAMPLE, replace=False)]
+        assert _median_pair_distance(sub) == np.median(pdist(sub.T))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 512])
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_median_pair_distance_equals_pdist_at_any_size(m, k):
+    # 1, 3 and 21 pairs have a middle element, 130816 pairs a middle two;
+    # 512 points span several row blocks, the last one short
+    points = np.random.default_rng(m * 10 + k).normal(0.0, 3.0, (k, m))
+    assert _median_pair_distance(points) == np.median(pdist(points.T))
 
 
 @pytest.mark.parametrize("scene", ["k2", "k8"])

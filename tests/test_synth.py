@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from hsiscale import (
     SynthConfig,
@@ -11,7 +12,8 @@ from hsiscale import (
     read_cube,
     write_scene,
 )
-from hsiscale.fields import gaussian_random_field
+import hsiscale.synth as synth_module
+from hsiscale.fields import gaussian_random_field, matern_covariance
 from hsiscale.synth import _covariance_fn, _sad
 
 
@@ -50,6 +52,41 @@ def test_endmembers_refuse_one_band():
     # a one-band curve is a single point, flat on every draw
     with pytest.raises(ValidationError, match="at least two bands"):
         gen_endmembers(1, 1, 0)
+
+
+# ------------------------------------------------------ Matern covariance
+
+def matern_bessel(r, corr_length, nu=1.5):
+    """The general Matern formula, 2^(1-nu)/Gamma(nu) x^nu K_nu(x), x = sqrt(2 nu) r / l."""
+    x = np.sqrt(2.0 * nu) * r / corr_length
+    out = np.ones_like(x)
+    pos = x > 0
+    out[pos] = 2.0 ** (1.0 - nu) / special.gamma(nu) * x[pos] ** nu * special.kv(nu, x[pos])
+    return out
+
+
+def test_matern_closed_form_matches_bessel_formula_on_scene_distances(monkeypatch):
+    # the torus distances gen_scene's fields are embedded on, at short and long lengths
+    calls = []
+
+    def recorded(r, corr_length):
+        calls.append((r, corr_length))
+        return matern_covariance(r, corr_length)
+
+    monkeypatch.setattr(synth_module, "matern_covariance", recorded)
+    for length in (0.7, 3.0, 8.0, 16.0):
+        gen_scene(cfg(height=40, width=24, correlation_length=length, scale_correlation_length=length))
+    assert {length for _, length in calls} == {0.7, 3.0, 8.0, 16.0}
+    for r, length in calls:
+        want = matern_bessel(r, length)
+        got = matern_covariance(r, length)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+
+def test_matern_is_exactly_one_at_zero_distance():
+    for length in (0.7, 3.0, 1e300):
+        assert matern_covariance(np.zeros(3), length).tolist() == [1.0, 1.0, 1.0]
+    assert matern_covariance(0.0, 3.0) == 1.0
 
 
 # ------------------------------------------------------- abundance fields

@@ -152,6 +152,17 @@ def count_nnls_calls(monkeypatch):
     return calls
 
 
+def test_nnls_is_resolved_on_first_access(monkeypatch):
+    import scipy.optimize
+
+    module = importlib.import_module("hsiscale.unmix")
+    monkeypatch.delitem(vars(module), "nnls", raising=False)
+    assert module.nnls is scipy.optimize.nnls
+    assert vars(module)["nnls"] is scipy.optimize.nnls  # cached for the next lookup
+    with pytest.raises(AttributeError, match="has no attribute 'lstsq'"):
+        module.lstsq
+
+
 def record_solves(monkeypatch):
     """The pixel count of every _lawson_hanson call."""
     solves = []
