@@ -21,6 +21,8 @@ def rmse_mu(pred: ScalingField, truth: ScalingField) -> float:
 def _sad_matrix(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     if m.shape[0] != m_hat.shape[0]:
         raise DimensionError(f"band counts differ: {m.shape[0]} vs {m_hat.shape[0]}")
+    if not (np.isfinite(m).all() and np.isfinite(m_hat).all()):
+        raise ValidationError("signatures contain non-finite values")
     norms = np.linalg.norm(m, axis=0)
     norms_hat = np.linalg.norm(m_hat, axis=0)
     if np.min(norms) == 0 or np.min(norms_hat) == 0:
@@ -29,22 +31,67 @@ def _sad_matrix(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def match_endmembers(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
-    """Permutation aligning estimated signatures to reference columns.
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost perfect matching of a square, finite cost matrix.
 
-    Hungarian assignment on the pairwise spectral-angle matrix; entry i of
-    the result is the estimated column paired with reference column i.
+    Shortest augmenting paths with dual potentials (Kuhn-Munkres in the
+    Jonker-Volgenant form, as in scipy's ``linear_sum_assignment``; Crouse,
+    IEEE TAES 2016): each row is added by a Dijkstra search over the
+    columns, O(K^3) in all.
+    Entry i of the result is the column matched to row i. On ties any
+    minimum-cost permutation may be returned.
     """
-    from scipy.optimize import linear_sum_assignment  # here, so import hsiscale loads numpy only
+    k = cost.shape[0]
+    # row potentials u and column potentials v; index 0 of the columns is a
+    # virtual column that holds the row being added
+    u = np.zeros(k + 1)
+    v = np.zeros(k + 1)
+    row_of = np.zeros(k + 1, dtype=int)  # 1-based row matched to each column, 0 if free
+    way = np.zeros(k + 1, dtype=int)
+    for i in range(1, k + 1):
+        row_of[0] = i
+        minv = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        j0 = 0
+        while row_of[j0]:  # until the search reaches a free column
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            closer = ~used[1:] & (reduced < minv[1:])
+            minv[1:][closer] = reduced[closer]
+            way[1:][closer] = j0
+            slack = np.where(used[1:], np.inf, minv[1:])
+            j1 = int(np.argmin(slack)) + 1
+            delta = slack[j1 - 1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to the virtual column
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    perm = np.empty(k, dtype=int)
+    perm[row_of[1:] - 1] = np.arange(k)
+    return perm
 
+
+def _matched_sad(m: np.ndarray, m_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=np.float64)
     m_hat = np.asarray(m_hat, dtype=np.float64)
     if m.shape[1] != m_hat.shape[1]:
         raise DimensionError("column counts must match for assignment")
-    rows, cols = linear_sum_assignment(_sad_matrix(m, m_hat))
-    perm = np.empty(m.shape[1], dtype=int)
-    perm[rows] = cols
-    return perm
+    sad = _sad_matrix(m, m_hat)
+    return sad, _assign(sad)
+
+
+def match_endmembers(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    """Permutation aligning estimated signatures to reference columns.
+
+    Optimal assignment on the pairwise spectral-angle matrix; entry i of
+    the result is the estimated column paired with reference column i.
+    On ties any minimum-cost permutation may be returned.
+    """
+    return _matched_sad(m, m_hat)[1]
 
 
 def sad_error(m: np.ndarray, m_hat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -53,11 +100,8 @@ def sad_error(m: np.ndarray, m_hat: np.ndarray) -> tuple[float, np.ndarray]:
     Invariant to positive per-column rescaling of either argument and to
     the column order of the estimate.
     """
-    m = np.asarray(m, dtype=np.float64)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    sad = _sad_matrix(m, m_hat)
-    perm = match_endmembers(m, m_hat)
-    per = sad[np.arange(m.shape[1]), perm]
+    sad, perm = _matched_sad(m, m_hat)
+    per = sad[np.arange(len(perm)), perm]
     return float(per.mean()), per
 
 

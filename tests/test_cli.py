@@ -304,7 +304,7 @@ def test_signalling_nan_payload_prints_one_error_line(tmp_path, command, error):
 
 
 NO_SCIPY_SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
 from pathlib import Path
 
 import hsiscale, hsiscale.cli
@@ -319,20 +319,25 @@ steps = [
     ["unmix", "--input", str(corrected), "--endmembers", "3", "--extract", "nfindr",
      "--seed", "5", "--out", str(unmixed)],
     ["eval", "mu", "--pred", str(out / "mu.f32"), "--truth", str(scene / "mu_true.f32")],
+    ["eval", "abundance", "--pred", str(unmixed / "abundances.csv"),
+     "--truth", str(scene / "abundances.csv"),
+     "--pred-endmembers", str(unmixed / "endmembers.csv"),
+     "--truth-endmembers", str(scene / "endmembers.csv")],
+    ["eval", "endmembers", "--pred", str(unmixed / "endmembers.csv"),
+     "--truth", str(scene / "endmembers.csv")],
 ]
-codes = [hsiscale.cli.main(argv) for argv in steps]
-loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-(out / "before.json").write_text(json.dumps({"codes": codes, "scipy": loaded}))
-sys.exit(hsiscale.cli.main([
-    "eval", "abundance", "--pred", str(unmixed / "abundances.csv"),
-    "--truth", str(scene / "abundances.csv"),
-    "--pred-endmembers", str(unmixed / "endmembers.csv"),
-    "--truth-endmembers", str(scene / "endmembers.csv"),
-]))
+record = []
+for argv in steps:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = hsiscale.cli.main(argv)
+    loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+    record.append({"code": code, "scipy": loaded, "keys": sorted(json.loads(stdout.getvalue() or "{}"))})
+(out / "record.json").write_text(json.dumps(record))
 """
 
 
-def test_synth_correct_unmix_eval_mu_load_no_scipy(tmp_path):
+def test_walkthrough_and_endmember_evals_load_no_scipy(tmp_path):
     # a fresh interpreter: this test process has loaded scipy already
     src = str(Path(hsiscale.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -340,11 +345,12 @@ def test_synth_correct_unmix_eval_mu_load_no_scipy(tmp_path):
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    before = json.loads((tmp_path / "before.json").read_text())
-    assert before == {"codes": [0, 0, 0, 0], "scipy": []}
-    # pairing endmembers still works: the Hungarian matching imports scipy itself
     assert result.returncode == 0, result.stderr
-    assert "abundance_rmse" in result.stdout
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert [(step["code"], step["scipy"]) for step in record] == [(0, [])] * 6
+    # the endmember pairing ran: both evals printed their scores
+    assert "abundance_rmse_total" in record[4]["keys"]
+    assert record[5]["keys"] == ["sad_mean", "sad_per_endmember"]
 
 
 def test_eval_mu_self_is_zero(tmp_path, capsys):

@@ -59,6 +59,9 @@ REDUCED = svd_reduce(CUBE, 2)
 SHORT = ReducedData(basis=np.eye(3), pixels=np.ones((3, 2)), singular_values=np.array([3.0, 2.0, 1.0]))
 # at right angles to the anchor c*: every scale ratio is infinite
 ORTHOGONAL = np.array([-REDUCED.mean_pixel[1], REDUCED.mean_pixel[0]])
+# 3-band, 2-endmember signatures with one non-finite entry
+NAN_COLUMN = np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])
+INF_COLUMN = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -np.inf]])
 
 
 def indefinite_covariance(r):
@@ -144,6 +147,11 @@ CHECKS = {
     # metrics
     "sad-zero-column": (lambda tmp: sad_error(np.zeros((3, 2)), np.ones((3, 2))), ValidationError),
     "match-column-counts": (lambda tmp: match_endmembers(np.ones((3, 2)), np.ones((3, 3))), DimensionError),
+    "sad-column-counts": (lambda tmp: sad_error(np.ones((3, 2)), np.ones((3, 3))), DimensionError),
+    "match-nonfinite-nan": (lambda tmp: match_endmembers(np.ones((3, 2)), NAN_COLUMN), ValidationError),
+    "match-nonfinite-inf": (lambda tmp: match_endmembers(INF_COLUMN, np.ones((3, 2))), ValidationError),
+    "sad-nonfinite-nan": (lambda tmp: sad_error(NAN_COLUMN, np.ones((3, 2))), ValidationError),
+    "sad-nonfinite-inf": (lambda tmp: sad_error(np.ones((3, 2)), INF_COLUMN), ValidationError),
     "abundance-rmse-shapes": (lambda tmp: abundance_rmse(np.ones((2, 3)), np.ones((3, 2))), DimensionError),
     "placement-orthogonal-pixel": (
         lambda tmp: hyperplane_placement_error(np.eye(2), np.array([1.0, 0.0])), ValidationError

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linear_sum_assignment, nnls
 
 from hsiscale import (
     DegenerateDataError,
@@ -29,7 +29,7 @@ from hsiscale import (
     svd_reduce,
     unmix,
 )
-from hsiscale.metrics import norm_concentration_ratio
+from hsiscale.metrics import _assign, _sad_matrix, norm_concentration_ratio
 from hsiscale.unmix import _simplex_volume
 from conftest import make_line_data
 
@@ -426,6 +426,55 @@ def test_sad_symmetry():
     m = rng.uniform(0.1, 1.0, (10, 3))
     m_hat = rng.uniform(0.1, 1.0, (10, 3))
     assert sad_error(m, m_hat)[0] == pytest.approx(sad_error(m_hat, m)[0], rel=1e-12)
+
+
+def _assign_cases(ties):
+    # seeded square cost matrices, K = 1..12 at three scales; ``ties`` rounds
+    # the entries to one decimal, so many permutations share the minimum
+    rng = np.random.default_rng(13 if ties else 14)
+    for k in range(1, 13):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(8):
+                cost = rng.random((k, k))
+                yield scale * (np.round(cost, 1) if ties else cost)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_assign_total_cost_equals_scipy(ties):
+    for cost in _assign_cases(ties):
+        k = len(cost)
+        perm = _assign(cost)
+        assert np.array_equal(np.sort(perm), np.arange(k))
+        rows, cols = linear_sum_assignment(cost)
+        best = cost[rows, cols].sum()
+        assert cost[np.arange(k), perm].sum() == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+def test_assign_equals_scipy_where_the_minimum_is_unique():
+    # continuous random entries: no two permutations share the minimum
+    for cost in _assign_cases(ties=False):
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(_assign(cost)[rows], cols)
+
+
+def test_match_endmembers_recovers_a_column_shuffle():
+    rng = np.random.default_rng(15)
+    m = gen_endmembers(40, 8, seed=15)
+    order = rng.permutation(8)
+    perm = match_endmembers(m, 2.0 * m[:, order])
+    assert np.array_equal(order[perm], np.arange(8))
+
+
+def test_sad_error_scores_scipys_matching():
+    rng = np.random.default_rng(16)
+    for k in (1, 3, 6):
+        m = rng.uniform(0.1, 1.0, (12, k))
+        m_hat = rng.uniform(0.1, 1.0, (12, k))
+        sad = _sad_matrix(m, m_hat)
+        rows, cols = linear_sum_assignment(sad)
+        mean, per = sad_error(m, m_hat)
+        assert np.array_equal(per, sad[rows, cols])
+        assert mean == float(sad[rows, cols].mean())
 
 
 class _TwoPixelCube:
