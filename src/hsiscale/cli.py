@@ -30,6 +30,7 @@ from .correct import (
     run_correction,
     search_normal,
 )
+from .cube import CHUNK_BYTES
 from .errors import DimensionError, HsiScaleError, ValidationError
 from .fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
 from .metrics import abundance_rmse, bound_check, match_endmembers, rmse_mu, sad_error
@@ -50,15 +51,13 @@ def fnv1a64(data: bytes) -> str:
 
 
 HASH_NAME = "blake2b-64"
-# bytes read per step, so hashing memory stays flat whatever the file size
-_HASH_CHUNK = 1 << 20
 
 
 def _hash_file(path) -> str:
-    """Streamed 64-bit BLAKE2b of a file's bytes, as a hex digest."""
+    """Streamed 64-bit BLAKE2b of a file's bytes, read a chunk at a time, as a hex digest."""
     digest = hashlib.blake2b(digest_size=8)
     with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
+        while chunk := fh.read(CHUNK_BYTES):
             digest.update(chunk)
     return digest.hexdigest()
 

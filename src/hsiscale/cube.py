@@ -6,6 +6,9 @@ Conventions used throughout the toolkit:
 * pixels are enumerated in raster order (row-major over the grid), so
   pixel ``i`` sits at ``(row, col) = divmod(i, width)``;
 * a pixel matrix is ``(d, n_pixels)`` with one pixel per column.
+
+Work over a whole cube goes through chunks of about ``CHUNK_BYTES``, so
+no step holds a second cube-sized temporary.
 """
 
 from __future__ import annotations
@@ -15,6 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+
+# the scratch one chunked loop works on, in bytes: a module constant, not an option
+CHUNK_BYTES = 1 << 20
+# chunk edges fall on multiples of this many columns, so that a BLAS
+# product over a chunk tiles its columns as one product over all of them does
+_CHUNK_ALIGN = 64
+
+
+def column_chunks(rows: int, cols: int):
+    """Column slices of about ``CHUNK_BYTES`` of float64, ``rows`` high, covering ``cols`` in order.
+
+    No slice is one column wide unless ``cols`` is 1: numpy sums a lone
+    column pairwise, where it sums a wider slice row by row, so a column
+    norm taken over chunks would move in its last bits.
+    """
+    step = max(_CHUNK_ALIGN, CHUNK_BYTES // (8 * max(rows, 1)) // _CHUNK_ALIGN * _CHUNK_ALIGN)
+    start = 0
+    for stop in range(step, cols - 1, step):
+        yield slice(start, stop)
+        start = stop
+    yield slice(start, cols)
 
 
 @dataclass(frozen=True)
@@ -33,9 +57,11 @@ class HsiCube:
             raise DimensionError(f"cube data must be (bands, height, width), got shape {data.shape}")
         if min(data.shape) < 1:
             raise DimensionError(f"cube dimensions must be positive, got {data.shape}")
-        if not np.all(np.isfinite(data)):
+        # two reductions and no boolean cube: a NaN or an infinity reaches one of them
+        low, high = data.min(), data.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValidationError("cube contains non-finite values")
-        if np.any(data < 0):
+        if low < 0:
             raise ValidationError("cube contains negative reflectances")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -10,18 +10,20 @@ raw float32 with a u32 ``rows``, u32 ``cols`` header; the extension
 (``.csv`` vs anything else, conventionally ``.f32``) selects the format.
 CSV values carry 17 significant digits and read back exactly. The float32
 writers refuse a value beyond the float32 range before creating the file.
+Payloads are written and read a chunk at a time: a reader holds the decoded
+float64 array and one chunk, never the raw bytes beside it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
-from pathlib import Path
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import CHUNK_BYTES, HsiCube
 from .errors import DimensionError, FormatError, ValidationError
 
 MAGIC = b"HSIC"
@@ -34,29 +36,58 @@ MAX_ELEMENTS = 1 << 40
 
 
 def _write_float32(path, header: bytes, values: np.ndarray) -> None:
-    """Write ``header``, then ``values`` as float32, refusing out-of-range values before the file exists."""
+    """Write ``header``, then ``values`` in C order as float32, a chunk at a time.
+
+    Every chunk is range-checked before the file is created, so a value
+    beyond the float32 range leaves no file behind.
+    """
+    flat = np.ravel(values)  # a view, unless values is not contiguous
+    step = CHUNK_BYTES // 8
+    chunks = [flat[start:start + step] for start in range(0, flat.size, step)]
     with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(values, dtype="<f4")
-    overflow = np.isinf(payload) & np.isfinite(values)
-    if overflow.any():
-        value = float(values.flat[int(np.argmax(overflow))])
-        raise ValidationError(f"value {value!r} is beyond the float32 range of the file format")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        for chunk in chunks:
+            overflow = np.isinf(chunk.astype("<f4")) & np.isfinite(chunk)
+            if overflow.any():
+                value = float(chunk[int(np.argmax(overflow))])
+                raise ValidationError(f"value {value!r} is beyond the float32 range of the file format")
+        with open(path, "wb") as fh:
+            fh.write(header)
+            for chunk in chunks:
+                fh.write(chunk.astype("<f4"))
 
 
-def _decode_float32(raw: bytes, header_size: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The float32 payload after a ``header_size``-byte header, as float64 of ``shape``."""
+def _read_header(fh, header: struct.Struct, what: str) -> tuple[int, tuple]:
+    """The file's size and its unpacked ``header``, refusing a file too short for it."""
+    size = os.fstat(fh.fileno()).st_size
+    raw = fh.read(header.size)
+    if len(raw) < header.size:
+        raise FormatError(f"file too short for {what}: {size} bytes", offset=0)
+    return size, header.unpack(raw)
+
+
+def _read_float32(fh, size: int, header_size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The float32 payload after a ``header_size``-byte header of a ``size``-byte file,
+    read a chunk at a time into a float64 array of ``shape``."""
     count = math.prod(shape)
     if count > MAX_ELEMENTS:  # points at the dimensions, the header's last fields
         dims = "x".join(map(str, shape))
         raise FormatError(f"dimension overflow: {dims} elements", offset=header_size - 4 * len(shape))
     expected = header_size + 4 * count
-    if len(raw) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(raw)}", offset=header_size)
+    if size != expected:
+        raise FormatError(f"truncated payload: expected {expected} bytes, got {size}", offset=header_size)
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    step = CHUNK_BYTES // 8
+    buffer = np.empty(min(count, step), dtype="<f4")
     with np.errstate(invalid="ignore"):  # a signalling NaN casts to a quiet one
-        return np.frombuffer(raw, dtype="<f4", offset=header_size).astype(np.float64).reshape(shape)
+        for start in range(0, count, step):
+            chunk = buffer[:count - start]
+            got = fh.readinto(chunk)
+            if got != chunk.nbytes:  # the file shrank after its size was taken
+                size = header_size + 4 * start + got
+                raise FormatError(f"truncated payload: expected {expected} bytes, got {size}", offset=header_size)
+            flat[start:start + chunk.size] = chunk
+    return out
 
 
 def write_cube(cube: HsiCube, path) -> None:
@@ -64,17 +95,16 @@ def write_cube(cube: HsiCube, path) -> None:
 
 
 def read_cube(path) -> HsiCube:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"file too short for header: {len(raw)} bytes", offset=0)
-    magic, version, _reserved, n_bands, height, width = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    if min(n_bands, height, width) < 1:
-        raise FormatError(f"dimensions must be positive, got {n_bands}x{height}x{width}", offset=8)
-    return HsiCube(_decode_float32(raw, _HEADER.size, (n_bands, height, width)))
+    with open(path, "rb") as fh:
+        size, (magic, version, _reserved, n_bands, height, width) = _read_header(fh, _HEADER, "header")
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        if min(n_bands, height, width) < 1:
+            raise FormatError(f"dimensions must be positive, got {n_bands}x{height}x{width}", offset=8)
+        data = _read_float32(fh, size, _HEADER.size, (n_bands, height, width))
+    return HsiCube(data)
 
 
 def write_matrix_csv(matrix: np.ndarray, path) -> None:
@@ -108,10 +138,9 @@ def write_matrix_f32(matrix: np.ndarray, path) -> None:
 
 
 def read_matrix_f32(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _MATRIX_HEADER.size:
-        raise FormatError(f"file too short for matrix header: {len(raw)} bytes", offset=0)
-    return _decode_float32(raw, _MATRIX_HEADER.size, _MATRIX_HEADER.unpack_from(raw, 0))
+    with open(path, "rb") as fh:
+        size, shape = _read_header(fh, _MATRIX_HEADER, "matrix header")
+        return _read_float32(fh, size, _MATRIX_HEADER.size, shape)
 
 
 def save_vector(values: np.ndarray, path) -> None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correct import ScalingField
-from .cube import HsiCube
+from .cube import HsiCube, column_chunks
 from .errors import DimensionError, ValidationError
 
 
@@ -21,6 +21,8 @@ def rmse_mu(pred: ScalingField, truth: ScalingField) -> float:
 def _sad_matrix(m: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     if m.shape[0] != m_hat.shape[0]:
         raise DimensionError(f"band counts differ: {m.shape[0]} vs {m_hat.shape[0]}")
+    if 0 in (m.shape[1], m_hat.shape[1]):
+        raise DimensionError("signature matrices need at least one column")
     if not (np.isfinite(m).all() and np.isfinite(m_hat).all()):
         raise ValidationError("signatures contain non-finite values")
     norms = np.linalg.norm(m, axis=0)
@@ -134,7 +136,10 @@ def abundance_rmse(
 
 def norm_concentration_ratio(clean_cube: HsiCube) -> float:
     """<||y||>^2 / <||y||^2> over pixels; 1 means equal-magnitude pixels."""
-    norms = np.linalg.norm(clean_cube.pixel_matrix(), axis=0)
+    pixels = clean_cube.pixel_matrix()
+    norms = np.empty(pixels.shape[1])
+    for cols in column_chunks(*pixels.shape):
+        norms[cols] = np.linalg.norm(pixels[:, cols], axis=0)
     mean_sq = np.mean(norms**2)
     if mean_sq == 0:
         raise ValidationError("clean cube has no nonzero pixel")

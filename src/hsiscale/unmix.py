@@ -13,6 +13,7 @@ from math import factorial
 
 import numpy as np
 
+from .cube import column_chunks
 from .errors import DegenerateDataError, DimensionError, NumericError, ValidationError
 from .reduction import ReducedData
 
@@ -146,7 +147,7 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
     Chang 2001) by one batched active-set pass over all pixels that holds
     the sum-to-one constraint exactly, with no penalty weight. Each
     solution is KKT-checked: dual feasibility and complementary slackness
-    within KKT_TOL.
+    within KKT_TOL. A NaN or an infinity in either input is refused.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     m = np.asarray(endmembers, dtype=np.float64)
@@ -154,6 +155,10 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"incompatible shapes: pixels {pixels.shape}, endmembers {m.shape}"
         )
+    for name, values in (("pixels", pixels), ("endmembers", m)):
+        # a NaN or an infinity reaches the minimum or the maximum
+        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise ValidationError(f"{name} contain non-finite values")
     # every passive-set border is solvable iff M with a sum-to-one row has
     # full column rank: the row separates signatures that differ only by
     # scale, so only exact duplicates, or more than L + 1 signatures (the
@@ -170,16 +175,23 @@ def fcls(pixels: np.ndarray, endmembers: np.ndarray) -> np.ndarray:
     dual = gram @ out - mty + lam
     kkt_scale = 1.0 + np.abs(mty).max(axis=0) + np.abs(gram).max()
     violation = np.maximum(np.abs(out * dual), -dual).max(axis=0) / kkt_scale
-    failed = np.flatnonzero(violation > KKT_TOL)
+    failed = np.flatnonzero(~(violation <= KKT_TOL))  # a NaN violation fails
     if failed.size:
         raise NumericError("active-set solve failed the KKT check", pixel_index=int(failed[0]))
     return out
 
 
 def unmix(pixels: np.ndarray, endmembers: np.ndarray) -> UnmixResult:
-    """FCLS plus residual bookkeeping."""
+    """FCLS plus residual bookkeeping.
+
+    The residual norms ||y - M a|| are taken over column chunks
+    (``column_chunks``), so no step holds a pixels-sized temporary.
+    """
+    pixels = np.asarray(pixels)
     abundances = fcls(pixels, endmembers)
-    residual = np.linalg.norm(pixels - endmembers @ abundances, axis=0)
+    residual = np.empty(abundances.shape[1])
+    for cols in column_chunks(*pixels.shape):
+        residual[cols] = np.linalg.norm(pixels[:, cols] - endmembers @ abundances[:, cols], axis=0)
     return UnmixResult(endmembers=endmembers, abundances=abundances, per_pixel_residual=residual)
 
 

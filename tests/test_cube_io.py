@@ -1,3 +1,5 @@
+import os
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -17,6 +19,8 @@ from hsiscale import (
     read_cube,
     write_cube,
 )
+import hsiscale.fileio as fileio_module
+from hsiscale.cube import CHUNK_BYTES
 from hsiscale.fileio import (
     load_vector,
     read_matrix_csv,
@@ -92,8 +96,6 @@ def test_truncated_payload_names_byte_counts(tmp_path):
 
 
 def test_dimension_overflow(tmp_path):
-    import struct
-
     path = tmp_path / "huge.hsic"
     header = struct.pack("<4sHHIII", b"HSIC", 1, 0, 2**30, 2**30, 4)
     path.write_bytes(header + b"\x00" * 8)
@@ -114,19 +116,106 @@ def test_float32_writers_golden_bytes(tmp_path):
     assert (tmp_path / "m.f32").read_bytes() == header + m.astype("<f4").tobytes()
 
 
-def test_write_cube_holds_the_payload_once(tmp_path):
-    cube = HsiCube(np.random.default_rng(4).uniform(0.0, 1.0, (64, 256, 256)))
-    path = tmp_path / "big.hsic"
+def peak_of(call):
+    """Peak bytes traced while ``call`` runs, and its result."""
     tracemalloc.start()
     try:
-        write_cube(cube, path)
-        _, peak = tracemalloc.get_traced_memory()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = path.stat().st_size
-    assert size > 16 << 20
-    # the float32 payload plus the range check's two boolean masks
-    assert peak <= 1.6 * size
+
+
+def test_write_cube_streams_the_payload(tmp_path):
+    cube = HsiCube(np.random.default_rng(4).uniform(0.0, 1.0, (64, 256, 256)))
+    path = tmp_path / "big.hsic"
+    _, peak = peak_of(lambda: write_cube(cube, path))
+    assert path.stat().st_size > 16 << 20
+    # one float32 chunk and the range check's masks, never the whole payload
+    assert peak <= CHUNK_BYTES
+
+
+def test_read_cube_holds_the_decoded_array_and_one_chunk(tmp_path):
+    path = tmp_path / "big.hsic"
+    write_cube(HsiCube(np.random.default_rng(5).uniform(0.0, 1.0, (64, 256, 256))), path)
+    assert path.stat().st_size > 16 << 20
+    cube, peak = peak_of(lambda: read_cube(path))
+    assert peak <= cube.data.nbytes + CHUNK_BYTES
+
+
+def test_cube_validation_allocates_no_cube_sized_mask():
+    data = np.random.default_rng(6).uniform(0.0, 1.0, (64, 256, 256))
+    _, peak = peak_of(lambda: HsiCube(data))
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([(0, 0, 1, np.nan), (1, 1, 0, -0.5)], "non-finite"),  # both: non-finite first
+        ([(1, 0, 0, -np.inf)], "non-finite"),
+        ([(0, 1, 1, np.inf)], "non-finite"),
+        ([(1, 1, 1, -1e-300)], "negative"),
+    ],
+)
+def test_cube_validation_names_non_finite_before_negative(bad, message):
+    data = np.ones((2, 2, 2))
+    for *index, value in bad:
+        data[tuple(index)] = value
+    with pytest.raises(ValidationError, match=message):
+        HsiCube(data)
+
+
+def test_cube_accepts_negative_zero():
+    assert HsiCube(np.full((1, 1, 2), -0.0)).data[0, 0, 0] == 0.0
+
+
+CHUNK = CHUNK_BYTES // 8  # float64 elements the float32 codec handles at once
+
+
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_float32_codec_at_chunk_edges(tmp_path, count):
+    values = np.random.default_rng(count).standard_normal(count) * 1e3
+    rounded = values.astype(np.float32).astype(np.float64)
+    f32 = values.astype("<f4").tobytes()
+
+    write_matrix_f32(values.reshape(1, count), tmp_path / "m.f32")
+    assert (tmp_path / "m.f32").read_bytes() == struct.pack("<II", 1, count) + f32
+    assert np.array_equal(read_matrix_f32(tmp_path / "m.f32"), rounded.reshape(1, count))
+
+    cube = HsiCube(np.abs(values).reshape(1, 1, count))
+    write_cube(cube, tmp_path / "c.hsic")
+    header = struct.pack("<4sHHIII", b"HSIC", 1, 0, 1, 1, count)
+    assert (tmp_path / "c.hsic").read_bytes() == header + np.abs(values).astype("<f4").tobytes()
+    assert np.array_equal(read_cube(tmp_path / "c.hsic").data, np.abs(rounded).reshape(1, 1, count))
+
+
+def test_float32_range_error_names_the_first_value_in_c_order(tmp_path):
+    # Fortran order puts (1, 0) first in memory; C order reaches (0, CHUNK) first,
+    # a chunk after the start, and (2, 5) later still
+    m = np.asfortranarray(np.zeros((3, CHUNK + 2)))
+    m[1, 0], m[0, CHUNK], m[2, 5] = 1e39, -2e39, 3e39
+    path = tmp_path / "m.f32"
+    with pytest.raises(ValidationError, match=r"value -2e\+39 is beyond the float32 range"):
+        write_matrix_f32(m, path)
+    assert not path.exists()
+
+
+def test_reader_refuses_a_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    path = tmp_path / "c.hsic"
+    write_cube(HsiCube(np.ones((2, 3, 4))), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    stat = os.fstat
+
+    def stale_size(fd):
+        # the size the file had before it shrank
+        return os.stat_result((*stat(fd)[:6], full, *stat(fd)[7:]))
+
+    monkeypatch.setattr(fileio_module.os, "fstat", stale_size)
+    with pytest.raises(FormatError, match=f"expected {full} bytes, got {full - 8}") as err:
+        read_cube(path)
+    assert err.value.offset == 20
 
 
 def test_matrix_csv_roundtrip(tmp_path):

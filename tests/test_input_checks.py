@@ -46,6 +46,7 @@ from hsiscale import (
     sad_error,
     save_vector,
     svd_reduce,
+    unmix,
 )
 from hsiscale.correct import _PsiEvaluator, denom_floor_for
 from hsiscale.fields import gaussian_random_field
@@ -152,6 +153,8 @@ CHECKS = {
     "match-nonfinite-inf": (lambda tmp: match_endmembers(INF_COLUMN, np.ones((3, 2))), ValidationError),
     "sad-nonfinite-nan": (lambda tmp: sad_error(NAN_COLUMN, np.ones((3, 2))), ValidationError),
     "sad-nonfinite-inf": (lambda tmp: sad_error(np.ones((3, 2)), INF_COLUMN), ValidationError),
+    "match-zero-columns": (lambda tmp: match_endmembers(np.ones((3, 0)), np.ones((3, 0))), DimensionError),
+    "sad-zero-columns": (lambda tmp: sad_error(np.ones((3, 0)), np.ones((3, 0))), DimensionError),
     "abundance-rmse-shapes": (lambda tmp: abundance_rmse(np.ones((2, 3)), np.ones((3, 2))), DimensionError),
     "placement-orthogonal-pixel": (
         lambda tmp: hyperplane_placement_error(np.eye(2), np.array([1.0, 0.0])), ValidationError
@@ -176,6 +179,11 @@ CHECKS = {
         lambda tmp: UnmixResult(np.eye(2), np.array([[0.5], [0.6]]), np.zeros(1)), ValidationError
     ),
     "fcls-shapes": (lambda tmp: fcls(np.ones((3, 2)), np.ones((4, 2))), DimensionError),
+    "fcls-nonfinite-nan-pixel": (lambda tmp: fcls(NAN_COLUMN, np.eye(3)[:, :2]), ValidationError),
+    "fcls-nonfinite-inf-pixel": (lambda tmp: fcls(INF_COLUMN, np.eye(3)[:, :2]), ValidationError),
+    "fcls-nonfinite-nan-endmember": (lambda tmp: fcls(np.ones((3, 2)), NAN_COLUMN), ValidationError),
+    "unmix-nonfinite-nan-pixel": (lambda tmp: unmix(NAN_COLUMN, np.eye(3)[:, :2]), ValidationError),
+    "unmix-nonfinite-inf-endmember": (lambda tmp: unmix(np.ones((3, 2)), INF_COLUMN), ValidationError),
     "nfindr-one-vertex": (lambda tmp: nfindr_extract(REDUCED, 1), DimensionError),
     "nfindr-fewer-pixels": (lambda tmp: nfindr_extract(SHORT, 3), DimensionError),
     "nfindr-simplex-too-large": (lambda tmp: nfindr_extract(REDUCED, 4), DimensionError),

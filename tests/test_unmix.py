@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hsiscale import (
     svd_reduce,
     unmix,
 )
+from hsiscale.cube import CHUNK_BYTES, column_chunks
 from hsiscale.metrics import _assign, _sad_matrix, norm_concentration_ratio
 from hsiscale.unmix import _simplex_volume
 from conftest import make_line_data
@@ -229,7 +231,7 @@ def test_fcls_matches_per_pixel_reference(case):
     assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("how", ["reversed", "shift-0.03", "shift-1e-4", "dropped"])
+@pytest.mark.parametrize("how", ["reversed", "shift-0.03", "shift-1e-4", "dropped", "nan"])
 def test_fcls_kkt_failure_names_the_pixel(monkeypatch, how):
     # gen_endmembers(30, 3, seed=15): a check scaled by the squared
     # sum-to-one weight passed the 0.03 shift here
@@ -250,6 +252,9 @@ def test_fcls_kkt_failure_names_the_pixel(monkeypatch, how):
             x[:, 4] = 0.0
             x[keep, 4] = sub[:, 0]
             multiplier[4] = sub_multiplier[0]
+        elif how == "nan":
+            # a NaN violation fails the check, which compares it closed
+            x[:, 4] = np.nan
         else:
             # mass moved between two abundances, sum kept
             shift = float(how.removeprefix("shift-"))
@@ -268,6 +273,54 @@ def test_unmix_result_residuals():
     scene = gen_scene(SynthConfig(height=8, width=8, bands=16, endmembers=3, scale_std=0.0, seed=5))
     result = unmix(scene.clean_cube.pixel_matrix(), scene.truth.endmembers)
     assert np.max(result.per_pixel_residual) < 1e-8
+
+
+def chunk_width(rows):
+    """Columns in a full chunk of a ``rows``-high matrix."""
+    return next(column_chunks(rows, 1 << 30)).stop
+
+
+def noisy_mixtures(bands, k, n, seed):
+    rng = np.random.default_rng(seed)
+    m = gen_endmembers(bands, k, seed=seed)
+    return m @ rng.dirichlet(np.ones(k), n).T + 0.01 * rng.standard_normal((bands, n)), m
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_unmix_residuals_equal_the_one_shot_norm_at_a_chunk_edge(extra):
+    # one chunk less a pixel, one chunk, one more pixel (folded into the
+    # chunk: a one-column chunk would be summed pairwise), and two chunks
+    n = chunk_width(100) + extra
+    pixels, m = noisy_mixtures(100, 5, n, seed=21)
+    result = unmix(pixels, m)
+    want = np.linalg.norm(pixels - m @ result.abundances, axis=0)
+    assert np.array_equal(result.per_pixel_residual, want)
+
+
+def test_unmix_residuals_equal_the_one_shot_norm_over_chunks():
+    n = 3 * chunk_width(100)
+    pixels, m = noisy_mixtures(100, 5, n, seed=22)
+    result = unmix(pixels, m)
+    assert len(list(column_chunks(*pixels.shape))) == 3
+    assert np.array_equal(result.per_pixel_residual, np.linalg.norm(pixels - m @ result.abundances, axis=0))
+
+
+def test_unmix_residual_adds_no_pixels_sized_temporary():
+    pixels, m = noisy_mixtures(100, 5, 65536, seed=23)
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    solve, full = peak_of(lambda: fcls(pixels, m)), peak_of(lambda: unmix(pixels, m))
+    # fcls keeps its K x N working set; the residual adds its output and
+    # a few chunks, where the one-shot norm held two 52 MB temporaries
+    assert full <= solve + 8 * pixels.shape[1] + 3 * CHUNK_BYTES
+    assert full < pixels.nbytes / 2
 
 
 # ----------------------------------------------------------------- nfindr
@@ -492,6 +545,30 @@ def test_bound_check_values():
     sigma = ScalingField.from_raw(np.array([1.3, 0.7, 1.3, 0.7]))
     expected = math.sqrt((np.var(sigma.values) * (1.0 - 0.8)) / 4)
     assert bound_check(sigma, _TwoPixelCube()) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 2, None])
+def test_norm_concentration_ratio_equals_the_one_shot_formula(extra):
+    step = chunk_width(50)
+    n = 2 * step + 1 if extra is None else step + extra
+    pixels = np.random.default_rng(24).uniform(0.0, 1.0, (50, n))
+    norms = np.linalg.norm(pixels, axis=0)
+    want = float(norms.mean() ** 2 / np.mean(norms**2))
+    assert norm_concentration_ratio(HsiCube.from_pixel_matrix(pixels, 1, n)) == want
+
+
+def test_bound_check_allocates_at_most_a_chunk():
+    cube = HsiCube(np.random.default_rng(25).uniform(0.0, 1.0, (64, 256, 256)))
+    mu = ScalingField.from_raw(np.random.default_rng(26).uniform(0.5, 1.5, cube.n_pixels))
+    tracemalloc.start()
+    try:
+        bound_check(mu, cube)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of squares beside two pixel-length vectors (the norms and
+    # their squares); the one-shot norm squared the whole 33 MB cube
+    assert peak <= CHUNK_BYTES + 2 * 8 * cube.n_pixels
 
 
 def test_bound_halves_when_n_quadruples():
