@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .correct import (
+    CANDIDATE_COUNT,
     GdConfig,
     HyperplaneModel,
     PsoConfig,
@@ -338,7 +339,7 @@ def cmd_ablate(args) -> int:
     # (c) candidate-seeded swarm without refinement and (d) the full
     # search are two points of one run
     candidates = candidate_normals(reduced, args.candidates, seed_ints[3])
-    pso_cd = PsoConfig(swarm_size=max(64, args.candidates), iterations=args.pso_iters)
+    pso_cd = PsoConfig(swarm_size=max(PsoConfig.swarm_size, args.candidates), iterations=args.pso_iters)
     _, candidates_pso, full = search_normal(reduced, candidates, pso_cd, gd, seed_ints[2])
 
     results = {
@@ -426,7 +427,7 @@ def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser, pso_iters: int, gd_iters: int | None) -> None:
-    parser.add_argument("--candidates", type=_count, default=200)
+    parser.add_argument("--candidates", type=_count, default=CANDIDATE_COUNT)
     parser.add_argument("--pso-iters", type=_count, default=pso_iters, dest="pso_iters")
     parser.add_argument("--gd-iters", type=_count, default=gd_iters, dest="gd_iters")
 
@@ -498,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", default=None, dest="plot_data")
     _add_scene_flags(p)
-    p.add_argument("--candidates", type=_count, default=200)
+    p.add_argument("--candidates", type=_count, default=CANDIDATE_COUNT)
     p.add_argument("--pso-iters", type=_count, default=PsoConfig.iterations, dest="pso_iters")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

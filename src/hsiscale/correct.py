@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, page_array
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -52,6 +52,8 @@ BLOCK_BYTES = 1 << 20
 # anchor-normal dot products below this fraction of the mean pixel norm
 # count as "normal orthogonal to the data"; ratios are meaningless there
 DENOM_FLOOR_REL = 1e-9
+# candidate normals a correction asks for unless its caller says otherwise
+CANDIDATE_COUNT = 200
 # candidate K-sets must be at least this fraction of the reference median
 # pairwise distance apart, and decently conditioned
 CANDIDATE_MIN_SEPARATION = 0.5
@@ -709,7 +711,7 @@ def correct_pixels(cube: HsiCube, mu_hat: ScalingField) -> HsiCube:
             f"scaling field has {len(mu_hat)} entries for {cube.n_pixels} pixels"
         )
     factors = mu_hat.values.reshape(cube.height, cube.width)
-    return HsiCube(cube.data / factors[None, :, :])
+    return HsiCube(np.divide(cube.data, factors[None, :, :], out=page_array(cube.data.shape)))
 
 
 def apply_scaling(cube: HsiCube, mu: ScalingField) -> HsiCube:
@@ -717,7 +719,7 @@ def apply_scaling(cube: HsiCube, mu: ScalingField) -> HsiCube:
     if len(mu) != cube.n_pixels:
         raise DimensionError(f"scaling field has {len(mu)} entries for {cube.n_pixels} pixels")
     factors = mu.values.reshape(cube.height, cube.width)
-    return HsiCube(cube.data * factors[None, :, :])
+    return HsiCube(np.multiply(cube.data, factors[None, :, :], out=page_array(cube.data.shape)))
 
 
 def search_normal(
@@ -763,7 +765,7 @@ def run_correction(
     k: int,
     pso_config: PsoConfig | None = None,
     gd_config: GdConfig | None = None,
-    candidate_count: int = 200,
+    candidate_count: int = CANDIDATE_COUNT,
     rng_seed: int = 0,
 ) -> tuple[HsiCube, CorrectionReport]:
     """End-to-end scale correction of a cube with K endmembers.

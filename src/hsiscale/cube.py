@@ -13,6 +13,7 @@ no step holds a second cube-sized temporary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,20 @@ def column_chunks(rows: int, cols: int):
         yield slice(start, stop)
         start = stop
     yield slice(start, cols)
+
+
+def page_array(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array; from a chunk up, on pages of its own, freed back to the system.
+
+    From ``malloc`` a cube lands on the heap once glibc's mmap threshold has
+    risen, and freed cubes fragment it: a loop's peak RSS then moves by a cube with the heap's layout.
+    """
+    count = math.prod(shape)
+    if 8 * count < CHUNK_BYTES:
+        return np.empty(shape)
+    import mmap  # on first use, so that ``import hsiscale`` loads numpy only
+
+    return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -85,17 +100,6 @@ class HsiCube:
     def pixel_matrix(self) -> np.ndarray:
         """Return the (L, N) view with pixel columns in raster order."""
         return self.data.reshape(self.bands, self.n_pixels)
-
-    @staticmethod
-    def from_pixel_matrix(matrix: np.ndarray, height: int, width: int) -> "HsiCube":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise DimensionError(f"pixel matrix must be 2-D, got shape {matrix.shape}")
-        if matrix.shape[1] != height * width:
-            raise DimensionError(
-                f"pixel matrix has {matrix.shape[1]} columns, grid needs {height * width}"
-            )
-        return HsiCube(matrix.reshape(matrix.shape[0], height, width))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .cube import CHUNK_BYTES, HsiCube
+from .cube import CHUNK_BYTES, HsiCube, page_array
 from .errors import DimensionError, FormatError, ValidationError
 
 MAGIC = b"HSIC"
@@ -75,7 +75,7 @@ def _read_float32(fh, size: int, header_size: int, shape: tuple[int, ...]) -> np
     expected = header_size + 4 * count
     if size != expected:
         raise FormatError(f"truncated payload: expected {expected} bytes, got {size}", offset=header_size)
-    out = np.empty(shape)
+    out = page_array(shape)
     flat = out.reshape(-1)
     step = CHUNK_BYTES // 8
     buffer = np.empty(min(count, step), dtype="<f4")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .correct import ScalingField, apply_scaling
-from .cube import GroundTruth, HsiCube
+from .cube import GroundTruth, HsiCube, page_array
 from .errors import GenerationError, ValidationError
 from .fields import gaussian_random_field, matern_covariance, spherical_covariance
 from .fileio import save_vector, write_cube, write_matrix_csv
@@ -230,14 +230,18 @@ def gen_scene(config: SynthConfig) -> SynthScene:
     mu = gen_scaling_field(config)
     truth = GroundTruth(endmembers=endmembers, abundances=abundances)
 
-    clean_pixels = endmembers @ abundances
+    clean_pixels = np.matmul(endmembers, abundances, out=page_array((config.bands, config.n_pixels)))
     clean = HsiCube(clean_pixels.reshape(config.bands, config.height, config.width))
     scaled = apply_scaling(clean, mu)
     if config.snr_db is not None:
         rng = _role_rng(config.seed, _ROLE_NOISE)
         signal_power = float(np.mean(scaled.data**2))
         noise_std = np.sqrt(signal_power / 10.0 ** (config.snr_db / 10.0))
-        scaled = HsiCube(np.clip(scaled.data + noise_std * rng.standard_normal(scaled.data.shape), 0.0, None))
+        # in place, in the rounding order of scaled + noise_std * z
+        noisy = rng.standard_normal(out=page_array(scaled.data.shape))
+        noisy *= noise_std
+        noisy += scaled.data
+        scaled = HsiCube(np.clip(noisy, 0.0, None, out=noisy))
 
     return SynthScene(clean_cube=clean, scaled_cube=scaled, truth=truth, mu_true=mu)
 

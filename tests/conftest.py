@@ -44,7 +44,7 @@ def make_rank_k_cube(bands=6, height=5, width=10, k=3, seed=0, noise=0.0):
     if noise:
         pixels = pixels + noise * rng.standard_normal(pixels.shape)
         pixels = np.clip(pixels, 0.0, None)
-    return HsiCube.from_pixel_matrix(pixels, height, width)
+    return HsiCube(pixels.reshape(bands, height, width))
 
 
 def grid_search_psi(reduced, c_star, step=0.0005):

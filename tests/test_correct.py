@@ -21,17 +21,9 @@ from hsiscale import (
     ScalingField,
     SynthConfig,
     ValidationError,
-    apply_scaling,
-    candidate_normals,
-    correct_pixels,
-    estimate_scaling,
-    gd_refine,
     gen_scene,
-    newton_refine,
     objective_psi,
-    pso_minimize,
     run_correction,
-    search_normal,
     svd_reduce,
 )
 import hsiscale.correct as correct_module
@@ -40,7 +32,15 @@ from hsiscale.correct import (
     CorrectionReport,
     _median_pair_distance,
     _PsiEvaluator,
+    apply_scaling,
+    candidate_normals,
+    correct_pixels,
     denom_floor_for,
+    estimate_scaling,
+    gd_refine,
+    newton_refine,
+    pso_minimize,
+    search_normal,
 )
 from conftest import grid_search_psi, make_line_data
 
@@ -955,11 +955,20 @@ def test_correct_pixels_identity_for_unit_field():
 
 def test_correct_pixels_divides_per_pixel():
     pixels = np.array([[2.0, 1.0, 1.0], [4.0, 1.0, 1.0], [6.0, 1.0, 1.0]])
-    cube = HsiCube.from_pixel_matrix(pixels, 1, 3)
+    cube = HsiCube(pixels.reshape(3, 1, 3))
     field = ScalingField(values=np.array([2.0, 0.5, 0.5]))
     out = correct_pixels(cube, field)
     assert np.array_equal(out.pixel_matrix()[:, 0], [1.0, 2.0, 3.0])
     assert np.array_equal(out.pixel_matrix()[:, 1], [2.0, 2.0, 2.0])
+
+
+def test_scaling_over_a_chunk_is_the_one_shot_expression():
+    # 2 MB: the output takes pages of its own
+    cube = HsiCube(np.random.default_rng(22).uniform(0.1, 1.0, (64, 64, 64)))
+    field = ScalingField.from_raw(np.random.default_rng(23).uniform(0.5, 1.5, 64 * 64))
+    factors = field.values.reshape(64, 64)[None, :, :]
+    assert np.array_equal(correct_pixels(cube, field).data, cube.data / factors)
+    assert np.array_equal(apply_scaling(cube, field).data, cube.data * factors)
 
 
 def test_apply_then_correct_recovers():
@@ -1201,7 +1210,8 @@ def test_error_tracks_bound_scaling():
     # spatially-uncorrelated scale fields must follow the same trend
     # (the diagnostic's absolute level describes the idealized estimator,
     # not any realized run, so only the scaling is comparable)
-    from hsiscale import SynthConfig, bound_check, gen_scene, rmse_mu
+    from hsiscale import SynthConfig, gen_scene, rmse_mu
+    from hsiscale.metrics import bound_check
 
     results = {}
     for side in (32, 64):

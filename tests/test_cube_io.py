@@ -20,7 +20,7 @@ from hsiscale import (
     write_cube,
 )
 import hsiscale.fileio as fileio_module
-from hsiscale.cube import CHUNK_BYTES
+from hsiscale.cube import CHUNK_BYTES, page_array
 from hsiscale.fileio import (
     load_vector,
     read_matrix_csv,
@@ -147,6 +147,17 @@ def test_cube_validation_allocates_no_cube_sized_mask():
     data = np.random.default_rng(6).uniform(0.0, 1.0, (64, 256, 256))
     _, peak = peak_of(lambda: HsiCube(data))
     assert peak < 64 << 10
+
+
+def test_page_array_keeps_arrays_of_a_chunk_off_the_heap():
+    small = page_array((3, 4))
+    assert small.shape == (3, 4) and small.dtype == np.float64
+    big, peak = peak_of(lambda: page_array((64, 256, 256)))
+    assert big.shape == (64, 256, 256) and big.dtype == np.float64
+    assert big.flags.c_contiguous and big.flags.writeable
+    assert peak < 64 << 10  # the pages are its own, not malloc's
+    big[...] = 2.0
+    assert float(big.sum()) == 2.0 * big.size
 
 
 @pytest.mark.parametrize(

@@ -28,29 +28,30 @@ from hsiscale import (
     SynthConfig,
     ValidationError,
     abundance_rmse,
-    apply_scaling,
-    candidate_normals,
-    correct_pixels,
     fcls,
-    gd_refine,
-    gen_endmembers,
-    gen_scaling_field,
     hyperplane_placement_error,
     load_vector,
     match_endmembers,
-    newton_refine,
     nfindr_extract,
     objective_psi,
-    pso_minimize,
     read_cube,
     sad_error,
-    save_vector,
     svd_reduce,
     unmix,
 )
-from hsiscale.correct import _PsiEvaluator, denom_floor_for
+from hsiscale.correct import (
+    _PsiEvaluator,
+    apply_scaling,
+    candidate_normals,
+    correct_pixels,
+    denom_floor_for,
+    gd_refine,
+    newton_refine,
+    pso_minimize,
+)
 from hsiscale.fields import gaussian_random_field
-from hsiscale.fileio import write_matrix_f32
+from hsiscale.fileio import save_vector, write_matrix_f32
+from hsiscale.synth import gen_endmembers, gen_scaling_field
 from hsiscale.unmix import UnmixResult
 from conftest import make_line_data, make_rank_k_cube
 
@@ -129,8 +130,6 @@ CHECKS = {
     ),
     # cube
     "cube-zero-dimension": (lambda tmp: HsiCube(np.zeros((0, 2, 2))), DimensionError),
-    "pixel-matrix-not-2d": (lambda tmp: HsiCube.from_pixel_matrix(np.ones(4), 2, 2), DimensionError),
-    "pixel-matrix-grid": (lambda tmp: HsiCube.from_pixel_matrix(np.ones((3, 5)), 2, 2), DimensionError),
     "truth-not-2d": (lambda tmp: GroundTruth(np.ones(3), np.ones((1, 3))), DimensionError),
     "truth-count-mismatch": (
         lambda tmp: GroundTruth(np.full((3, 2), 0.5), np.full((3, 4), 1.0 / 3.0)), DimensionError

@@ -1,5 +1,7 @@
+import importlib
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -34,3 +36,51 @@ def test_library_use_example_runs_and_matches_the_cli(tmp_path, monkeypatch, cap
     assert main(LIGHT_CORRECT) == 0
     assert json.loads(Path("light.hsic.report.json").read_text()) == light_report.to_json_dict()
     assert np.array_equal(load_vector("light.f32"), light_report.mu_hat.values.astype(np.float32))
+
+
+PUBLIC_NAMES = {
+    # the pipeline, its configs and what it returns
+    "CorrectionReport", "GdConfig", "HyperplaneModel", "PsoConfig", "ScalingField",
+    "objective_psi", "run_correction", "ReducedData", "svd_reduce",
+    # data, synthesis and I/O
+    "GroundTruth", "HsiCube", "SynthConfig", "SynthScene", "gen_scene", "write_scene",
+    "load_vector", "read_cube", "write_cube",
+    # unmixing and scoring
+    "UnmixResult", "fcls", "nfindr_extract", "unmix",
+    "abundance_rmse", "hyperplane_placement_error", "match_endmembers", "rmse_mu", "sad_error",
+    # errors
+    "HsiScaleError", "DegenerateDataError", "DimensionError", "FormatError", "GenerationError",
+    "NearOrthogonalNormalError", "NumericError", "OptimizationError", "ValidationError",
+}
+# helpers that only their own module exports
+MODULE_ONLY = {
+    "correct": ["apply_scaling", "candidate_normals", "correct_pixels", "estimate_scaling",
+                "gd_refine", "newton_refine", "pso_minimize", "search_normal"],
+    "fileio": ["save_vector"],
+    "metrics": ["bound_check"],
+    "synth": ["gen_abundance_field", "gen_endmembers", "gen_scaling_field"],
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    import hsiscale
+
+    exported = {
+        name for name, value in vars(hsiscale).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
+    for module, names in MODULE_ONLY.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"hsiscale.{module}"), name))
+
+
+def test_callers_read_only_public_names():
+    root = README.parent
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    used = set(re.findall(r"\bhs\.(\w+)", section))
+    used |= set(re.findall(r"\bhs\.(\w+)", (root / "perfbench" / "workloads.py").read_text()))
+    acceptance = (root / "tests" / "test_acceptance.py").read_text()
+    for block in re.findall(r"from hsiscale import (\([^)]*\)|[\w, ]+)", acceptance):
+        used |= {name.strip() for name in block.strip("()").split(",") if name.strip()}
+    assert used <= PUBLIC_NAMES

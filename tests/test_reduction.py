@@ -17,7 +17,7 @@ def test_rank_k_data_reconstructs_exactly():
 
 def test_identical_pixels_rank_one():
     p = np.array([1.0, 2.0, 2.0])
-    cube = HsiCube.from_pixel_matrix(np.tile(p[:, None], (1, 12)), 3, 4)
+    cube = HsiCube(np.tile(p[:, None], (1, 12)).reshape(3, 3, 4))
     reduced = svd_reduce(cube, 1)
     # sign convention picks the direction aligned with the mean pixel
     assert np.allclose(reduced.basis[0], p / np.linalg.norm(p))
@@ -94,7 +94,7 @@ def test_linearity_preservation():
     mu = np.clip(mu, 0.3, None)
     mu /= mu.mean()
     pixels = (m0 @ frac) * mu
-    cube = HsiCube.from_pixel_matrix(pixels, 5, 8)
+    cube = HsiCube(pixels.reshape(10, 5, 8))
     reduced = svd_reduce(cube, 3)
     expected = (reduced.basis @ m0 @ frac) * mu
     assert rel_frob(reduced.pixels, expected) < 1e-9

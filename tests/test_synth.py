@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import special
@@ -5,16 +7,13 @@ from scipy import special
 from hsiscale import (
     SynthConfig,
     ValidationError,
-    gen_abundance_field,
-    gen_endmembers,
-    gen_scaling_field,
     gen_scene,
     read_cube,
     write_scene,
 )
 import hsiscale.synth as synth_module
 from hsiscale.fields import gaussian_random_field, matern_covariance
-from hsiscale.synth import _covariance_fn, _sad
+from hsiscale.synth import _covariance_fn, _sad, gen_abundance_field, gen_endmembers, gen_scaling_field
 
 
 def cfg(**kw):
@@ -205,6 +204,16 @@ def test_scene_with_noise_flag():
     diff = scene.scaled_cube.pixel_matrix() - scene.clean_cube.pixel_matrix() * scene.mu_true.values
     assert np.max(np.abs(diff)) > 0  # noise actually applied
     assert np.min(scene.scaled_cube.data) >= 0.0
+
+
+def test_noisy_scene_is_the_one_shot_expression():
+    # a cube over one chunk, so the scene's arrays take pages of their own
+    config = cfg(height=64, width=64, bands=40, seed=2, snr_db=30.0)
+    scaled = gen_scene(replace(config, snr_db=None)).scaled_cube.data
+    rng = synth_module._role_rng(config.seed, synth_module._ROLE_NOISE)
+    noise_std = np.sqrt(float(np.mean(scaled**2)) / 10.0 ** (config.snr_db / 10.0))
+    want = np.clip(scaled + noise_std * rng.standard_normal(scaled.shape), 0.0, None)
+    assert np.array_equal(gen_scene(config).scaled_cube.data, want)
 
 
 def test_benchmark_scale_config_accepted():

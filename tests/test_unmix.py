@@ -17,9 +17,7 @@ from hsiscale import (
     ScalingField,
     SynthConfig,
     abundance_rmse,
-    bound_check,
     fcls,
-    gen_endmembers,
     gen_scene,
     hyperplane_placement_error,
     match_endmembers,
@@ -31,7 +29,8 @@ from hsiscale import (
     unmix,
 )
 from hsiscale.cube import CHUNK_BYTES, column_chunks
-from hsiscale.metrics import _assign, _sad_matrix, norm_concentration_ratio
+from hsiscale.metrics import _assign, _sad_matrix, bound_check, norm_concentration_ratio
+from hsiscale.synth import gen_endmembers
 from hsiscale.unmix import _simplex_volume
 from conftest import make_line_data
 
@@ -332,7 +331,7 @@ def corners_and_mixtures(seed=0, k=3, bands=6, n_mix=60):
     pixels = np.column_stack([m, mixtures])
     from hsiscale import HsiCube
 
-    cube = HsiCube.from_pixel_matrix(pixels, 1, pixels.shape[1])
+    cube = HsiCube(pixels.reshape(bands, 1, pixels.shape[1]))
     return cube, m
 
 
@@ -376,7 +375,7 @@ def test_nfindr_coplanar_degenerate():
     from hsiscale import HsiCube
 
     pixels = np.vstack([np.linspace(0.2, 0.8, 20), np.linspace(0.2, 0.8, 20)])
-    cube = HsiCube.from_pixel_matrix(pixels, 1, 20)
+    cube = HsiCube(pixels.reshape(2, 1, 20))
     reduced = svd_reduce(cube, 2)
     with pytest.raises(DegenerateDataError):
         nfindr_extract(reduced, 3, seed=0)  # 2-simplex needs non-collinear data
@@ -554,7 +553,7 @@ def test_norm_concentration_ratio_equals_the_one_shot_formula(extra):
     pixels = np.random.default_rng(24).uniform(0.0, 1.0, (50, n))
     norms = np.linalg.norm(pixels, axis=0)
     want = float(norms.mean() ** 2 / np.mean(norms**2))
-    assert norm_concentration_ratio(HsiCube.from_pixel_matrix(pixels, 1, n)) == want
+    assert norm_concentration_ratio(HsiCube(pixels.reshape(50, 1, n))) == want
 
 
 def test_bound_check_allocates_at_most_a_chunk():
