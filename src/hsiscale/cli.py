@@ -10,6 +10,7 @@ inputs and outputs by a 64-bit BLAKE2b content hash (``"hash": "blake2b-64"``).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -27,6 +28,7 @@ from .correct import (
     ScalingField,
     candidate_normals,
     denom_floor_for,
+    derive_seeds,
     estimate_scaling,
     run_correction,
     search_normal,
@@ -36,7 +38,7 @@ from .errors import DimensionError, HsiScaleError, ValidationError
 from .fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
 from .metrics import abundance_rmse, bound_check, match_endmembers, rmse_mu, sad_error
 from .reduction import svd_reduce
-from .synth import SynthConfig, gen_scene, write_scene
+from .synth import SCENE_FILES, SynthConfig, gen_scene, write_scene
 from .unmix import nfindr_extract, unmix
 
 
@@ -66,13 +68,14 @@ def _hash_file(path) -> str:
 class _ManifestWriter:
     """Collects run metadata and writes exactly one manifest per run."""
 
-    def __init__(self, command: str, config: dict, seed: int | None):
+    def __init__(self, args: argparse.Namespace, seed: int | None):
         self.started = time.perf_counter()
+        self.path = args.manifest
         self.payload = {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "seed": seed,
-            "config": config,
+            "config": {k: v for k, v in vars(args).items() if k != "func"},
             "hash": HASH_NAME,
             "inputs": {},
             "outputs": {},
@@ -81,17 +84,17 @@ class _ManifestWriter:
     def add_input(self, path) -> None:
         self.payload["inputs"][str(path)] = _hash_file(path)
 
-    def add_output(self, path) -> None:
-        self.payload["outputs"][str(path)] = _hash_file(path)
-
-    def write(self, path) -> None:
+    def write(self, default_path, outputs) -> None:
+        """Hash ``outputs``, every one written by now; write to ``--manifest`` or else ``default_path``."""
+        self.payload["outputs"] = {str(path): _hash_file(path) for path in outputs}
         self.payload["duration_seconds"] = time.perf_counter() - self.started
-        Path(path).write_text(json.dumps(self.payload, indent=2) + "\n")
+        Path(self.path or default_path).write_text(json.dumps(self.payload, indent=2) + "\n")
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _write_table(path, header: str, rows) -> None:
+    """A CSV table under ``header``: strings as they are, numbers by ``repr``."""
+    lines = [header] + [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _usage_error(message: str) -> int:
@@ -109,19 +112,11 @@ def _int_at_least(low: int, text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of every --seed: numpy's seeds are non-negative."""
-    return _int_at_least(0, text)
-
-
-def _count(text: str) -> int:
-    """argparse type of the endmember, candidate, iteration and replicate counts."""
-    return _int_at_least(1, text)
-
-
-def _mixture_count(text: str) -> int:
-    """argparse type of a synthetic scene's --endmembers: a mixture needs two."""
-    return _int_at_least(2, text)
+# argparse types: every --seed (numpy's seeds are non-negative); the endmember, candidate,
+# iteration and replicate counts; a synthetic scene's --endmembers (a mixture needs two)
+_seed = functools.partial(_int_at_least, 0)
+_count = functools.partial(_int_at_least, 1)
+_mixture_count = functools.partial(_int_at_least, 2)
 
 
 def _endmember_bound_error(k: int, cube) -> int | None:
@@ -158,20 +153,18 @@ def _scene_config(args: argparse.Namespace, seed: int, scale_std: float, snr_db:
 
 def cmd_synth(args) -> int:
     config = _scene_config(args, args.seed, args.scale_std, args.snr_db)
-    manifest = _ManifestWriter("synth", _config_dict(args), args.seed)
+    manifest = _ManifestWriter(args, args.seed)
     scene = gen_scene(config)
     out = Path(args.out)
     write_scene(scene, config, out)
-    for name in ("clean.hsic", "scaled.hsic", "endmembers.csv", "abundances.csv", "mu_true.f32", "config.json"):
-        manifest.add_output(out / name)
-    manifest.write(args.manifest or out / "manifest.json")
+    manifest.write(out / "manifest.json", [out / name for name in SCENE_FILES])
     return 0
 
 
 # -------------------------------------------------------------- correct
 
 def cmd_correct(args) -> int:
-    manifest = _ManifestWriter("correct", _config_dict(args), args.seed)
+    manifest = _ManifestWriter(args, args.seed)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
     if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
@@ -191,9 +184,7 @@ def cmd_correct(args) -> int:
     save_vector(report.mu_hat.values, args.mu_out)
     report_path = args.report or f"{args.out}.report.json"
     Path(report_path).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    for path in (args.out, args.mu_out, report_path):
-        manifest.add_output(path)
-    manifest.write(args.manifest or f"{args.out}.manifest.json")
+    manifest.write(f"{args.out}.manifest.json", [args.out, args.mu_out, report_path])
     return 0
 
 
@@ -203,7 +194,7 @@ def cmd_unmix(args) -> int:
     if (args.endmember_file is None) == (args.extract is None):
         return _usage_error("provide exactly one of --endmember-file or --extract nfindr")
 
-    manifest = _ManifestWriter("unmix", _config_dict(args), args.seed)
+    manifest = _ManifestWriter(args, args.seed)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
     pixels = cube.pixel_matrix()
@@ -230,9 +221,8 @@ def cmd_unmix(args) -> int:
     write_matrix_csv(result.endmembers, out / "endmembers.csv")
     write_matrix_csv(result.abundances, out / "abundances.csv")
     save_vector(result.per_pixel_residual, out / "residuals.f32")
-    for name in ("endmembers.csv", "abundances.csv", "residuals.f32"):
-        manifest.add_output(out / name)
-    manifest.write(args.manifest or out / "manifest.json")
+    outputs = [out / name for name in ("endmembers.csv", "abundances.csv", "residuals.f32")]
+    manifest.write(out / "manifest.json", outputs)
     return 0
 
 
@@ -255,7 +245,7 @@ def cmd_eval(args) -> int:
             payload["bound_rhs"] = bound_check(truth, clean)
         var = float(truth.values.var())
         payload.update(n_pixels=len(truth), sigma_max=var, sigma_min=var)
-        rows = []  # the --csv cells after the endmember index; mu has none
+        rows = []  # the --csv rows; mu has none
     elif args.mode == "abundance":
         # one endmember file alone cannot pair the abundance rows
         flags = {"--pred-endmembers": args.pred_endmembers, "--truth-endmembers": args.truth_endmembers}
@@ -277,32 +267,29 @@ def cmd_eval(args) -> int:
             "abundance_rmse_per_endmember": per,
             "n_pixels": truth.shape[1],
         }
-        rows = [f"{v!r}," for v in per]
+        rows = [(i, v, "") for i, v in enumerate(per)]
     else:  # endmembers
         mean, per = sad_error(_read_finite_csv(args.truth), _read_finite_csv(args.pred))
         per = per.tolist()
         payload = {"sad_mean": mean, "sad_per_endmember": per}
-        rows = [f",{v!r}" for v in per]
+        rows = [(i, "", v) for i, v in enumerate(per)]
 
     print(json.dumps(payload, indent=2))
     if args.csv:
         # one line per endmember: its abundance RMSE, its spectral angle
-        lines = [f"{i},{row}\n" for i, row in enumerate(rows)]
-        Path(args.csv).write_text("endmember,abundance_rmse,sad\n" + "".join(lines))
+        _write_table(args.csv, "endmember,abundance_rmse,sad", rows)
     if args.manifest:
-        manifest = _ManifestWriter("eval", _config_dict(args), None)
+        manifest = _ManifestWriter(args, None)
         for path in inputs:
             manifest.add_input(path)
-        if args.csv:
-            manifest.add_output(args.csv)
-        manifest.write(args.manifest)
+        manifest.write(None, [args.csv] if args.csv else [])
     return 0
 
 
 # --------------------------------------------------------------- ablate
 
 def cmd_ablate(args) -> int:
-    manifest = _ManifestWriter("ablate", _config_dict(args), args.seed)
+    manifest = _ManifestWriter(args, args.seed)
     cube = read_cube(args.input)
     truth = ScalingField.from_raw(load_vector(args.truth_mu))
     if len(truth) != cube.n_pixels:
@@ -315,9 +302,8 @@ def cmd_ablate(args) -> int:
     reduced = svd_reduce(cube, args.endmembers)
     floor = denom_floor_for(reduced.pixels)
     gd = GdConfig(max_iters=args.gd_iters)
-    # its own four streams, not run_correction's: other seeds would re-seed criterion 4's results
-    seeds = np.random.SeedSequence(args.seed).spawn(4)
-    seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
+    # four streams; child i is the same for any count, so criterion 4's results keep their seeds
+    seed_ints = derive_seeds(args.seed, 4)
 
     def score(stage) -> float:
         model = HyperplaneModel.build(reduced.mean_pixel, stage[0], floor)
@@ -342,22 +328,18 @@ def cmd_ablate(args) -> int:
     pso_cd = PsoConfig(swarm_size=max(PsoConfig.swarm_size, args.candidates), iterations=args.pso_iters)
     _, candidates_pso, full = search_normal(reduced, candidates, pso_cd, gd, seed_ints[2])
 
-    results = {
+    scores = {
         "gd_only": score(gd_only),
         "pso_random_gd": score(pso_random_gd),
         "candidates_pso": score(candidates_pso),
         "full": score(full),
-        "seed": args.seed,
     }
-    Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-    manifest.add_output(args.out)
+    Path(args.out).write_text(json.dumps({**scores, "seed": args.seed}, indent=2) + "\n")
+    outputs = [args.out]
     if args.plot_data:
-        with open(args.plot_data, "w") as fh:
-            fh.write("variant,rmse_mu\n")
-            for name in ("gd_only", "pso_random_gd", "candidates_pso", "full"):
-                fh.write(f"{name},{results[name]!r}\n")
-        manifest.add_output(args.plot_data)
-    manifest.write(args.manifest or f"{args.out}.manifest.json")
+        _write_table(args.plot_data, "variant,rmse_mu", scores.items())
+        outputs.append(args.plot_data)
+    manifest.write(f"{args.out}.manifest.json", outputs)
     return 0
 
 
@@ -371,7 +353,7 @@ def cmd_sweep(args) -> int:
     if not stds:
         return _usage_error("--stds must list at least one value")
 
-    manifest = _ManifestWriter("sweep", _config_dict(args), args.seed)
+    manifest = _ManifestWriter(args, args.seed)
     rows = []
     per_run = []
     # scene seeds depend on the replicate only, not on the std: each
@@ -395,18 +377,12 @@ def cmd_sweep(args) -> int:
             per_run.append((std, j, err))
         rows.append((std, float(np.mean(errors)), float(np.std(errors))))
 
-    with open(args.out, "w") as fh:
-        fh.write("std,mean_rmse_mu,std_rmse_mu\n")
-        for std, mean, spread in rows:
-            fh.write(f"{std!r},{mean!r},{spread!r}\n")
-    manifest.add_output(args.out)
+    _write_table(args.out, "std,mean_rmse_mu,std_rmse_mu", rows)
+    outputs = [args.out]
     if args.plot_data:
-        with open(args.plot_data, "w") as fh:
-            fh.write("std,seed,rmse_mu\n")
-            for std, j, err in per_run:
-                fh.write(f"{std!r},{j},{err!r}\n")
-        manifest.add_output(args.plot_data)
-    manifest.write(args.manifest or f"{args.out}.manifest.json")
+        _write_table(args.plot_data, "std,seed,rmse_mu", per_run)
+        outputs.append(args.plot_data)
+    manifest.write(f"{args.out}.manifest.json", outputs)
     return 0
 
 

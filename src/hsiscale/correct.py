@@ -255,9 +255,9 @@ class CorrectionReport:
         }
 
 
-def derive_seeds(rng_seed: int) -> tuple[int, int]:
-    """Child seeds (candidate sampling, swarm search) from one master seed."""
-    children = np.random.SeedSequence(rng_seed).spawn(2)
+def derive_seeds(rng_seed: int, count: int = 2) -> tuple[int, ...]:
+    """``count`` child seeds from one master seed; child i is the same for any count."""
+    children = np.random.SeedSequence(rng_seed).spawn(count)
     return tuple(int(s.generate_state(1)[0]) for s in children)
 
 

@@ -246,13 +246,18 @@ def gen_scene(config: SynthConfig) -> SynthScene:
     return SynthScene(clean_cube=clean, scaled_cube=scaled, truth=truth, mu_true=mu)
 
 
+# the files of a scene directory, in the order write_scene writes them
+SCENE_FILES = ("clean.hsic", "scaled.hsic", "endmembers.csv", "abundances.csv", "mu_true.f32", "config.json")
+
+
 def write_scene(scene: SynthScene, config: SynthConfig, out_dir) -> None:
-    """Write the standard scene directory layout."""
+    """Write the standard scene directory layout, ``SCENE_FILES``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_cube(scene.clean_cube, out / "clean.hsic")
-    write_cube(scene.scaled_cube, out / "scaled.hsic")
-    write_matrix_csv(scene.truth.endmembers, out / "endmembers.csv")
-    write_matrix_csv(scene.truth.abundances, out / "abundances.csv")
-    save_vector(scene.mu_true.values, out / "mu_true.f32")
-    (out / "config.json").write_text(json.dumps(asdict(config), indent=2) + "\n")
+    clean, scaled, endmembers, abundances, mu_true, config_json = (out / name for name in SCENE_FILES)
+    write_cube(scene.clean_cube, clean)
+    write_cube(scene.scaled_cube, scaled)
+    write_matrix_csv(scene.truth.endmembers, endmembers)
+    write_matrix_csv(scene.truth.abundances, abundances)
+    save_vector(scene.mu_true.values, mu_true)
+    config_json.write_text(json.dumps(asdict(config), indent=2) + "\n")

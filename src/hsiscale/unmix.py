@@ -29,14 +29,17 @@ _SWAP_TOL = 1e-12
 
 def __getattr__(name: str):
     """Resolve ``nnls`` on first access (PEP 562), so importing this module
-    loads no scipy. Nothing here calls it; perfbench counts calls to the
-    name. ROADMAP item 1(c) deletes both."""
-    if name != "nnls":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.optimize import nnls
-
-    globals()["nnls"] = nnls
-    return nnls
+    loads no scipy; without scipy the name is absent. Nothing here calls it;
+    perfbench counts calls to the name. ROADMAP item 1(c) deletes both."""
+    if name == "nnls":
+        try:
+            from scipy.optimize import nnls
+        except ImportError:
+            pass
+        else:
+            globals()["nnls"] = nnls
+            return nnls
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -464,6 +464,111 @@ def test_eval_manifest_hashes_every_file(tmp_path, capsys, case):
     assert manifest["outputs"] == {str(csv): blake2b_64(csv)}
 
 
+def ablate_tables(run, stdout):
+    payload = json.loads((run / "ablate.json").read_text())
+    rows = [f"{name},{payload[name]!r}\n" for name in ("gd_only", "pso_random_gd", "candidates_pso", "full")]
+    return {run / "ablate.csv": "variant,rmse_mu\n" + "".join(rows)}
+
+
+def sweep_tables(run, stdout):
+    # each run's error, read back from --plot-data, and its std's mean and spread
+    lines = (run / "runs.csv").read_text().splitlines()[1:]
+    runs = [(float(std), int(j), float(err)) for std, j, err in (line.split(",") for line in lines)]
+    assert len(runs) == 4  # two stds, two replicates
+    errors = {}
+    for std, _, err in runs:
+        errors.setdefault(std, []).append(err)
+    summary = [f"{std!r},{float(np.mean(e))!r},{float(np.std(e))!r}\n" for std, e in errors.items()]
+    return {
+        run / "runs.csv": "std,seed,rmse_mu\n" + "".join(f"{s!r},{j},{e!r}\n" for s, j, e in runs),
+        run / "sweep.csv": "std,mean_rmse_mu,std_rmse_mu\n" + "".join(summary),
+    }
+
+
+def eval_tables(key, cells):
+    """The --csv table from the printed ``key``; ``cells`` places a value in its column."""
+    def tables(run, stdout):
+        rows = [f"{i},{cells.format(v=repr(v))}\n" for i, v in enumerate(json.loads(stdout)[key])]
+        return {run / "per.csv": "endmember,abundance_rmse,sad\n" + "".join(rows)}
+    return tables
+
+
+def no_tables(run, stdout):
+    return {}
+
+
+PRED = "{root}/unmixed"
+OUTPUT_RUNS = {
+    # command -> (argv template, the CSV tables it writes as {path: text} given its run directory and stdout)
+    "synth": ("synth " + " ".join(SCENE_FLAGS) + " --seed 1 --out {run}/scene", no_tables),
+    "correct": (
+        "correct --input {root}/scene/scaled.hsic --endmembers 3 --out {run}/c.hsic --mu-out {run}/mu.f32 "
+        + " ".join(FAST_OPT),
+        no_tables,
+    ),
+    "unmix": ("unmix --input {root}/scene/scaled.hsic --endmembers 3 --extract nfindr --out {run}/u", no_tables),
+    "eval-mu": (
+        "eval mu --pred {root}/scene/mu_true.f32 --truth {root}/scene/mu_true.f32 "
+        "--clean-cube {root}/scene/clean.hsic --csv {run}/per.csv",
+        lambda run, stdout: {run / "per.csv": "endmember,abundance_rmse,sad\n"},  # mu has no rows
+    ),
+    "eval-abundance": (
+        f"eval abundance --pred {PRED}/abundances.csv --truth {{root}}/scene/abundances.csv "
+        f"--pred-endmembers {PRED}/endmembers.csv --truth-endmembers {{root}}/scene/endmembers.csv "
+        "--csv {run}/per.csv",
+        eval_tables("abundance_rmse_per_endmember", "{v},"),
+    ),
+    "eval-endmembers": (
+        f"eval endmembers --pred {PRED}/endmembers.csv --truth {{root}}/scene/endmembers.csv --csv {{run}}/per.csv",
+        eval_tables("sad_per_endmember", ",{v}"),
+    ),
+    "ablate": (
+        "ablate --input {root}/scene/scaled.hsic --truth-mu {root}/scene/mu_true.f32 --endmembers 3 --seed 2 "
+        "--out {run}/ablate.json --plot-data {run}/ablate.csv --candidates 32 --pso-iters 25 --gd-iters 80",
+        ablate_tables,
+    ),
+    "sweep": (
+        "sweep --stds 0.1,0.2 --seeds 2 " + " ".join(SCENE_FLAGS)
+        + " --candidates 32 --pso-iters 25 --out {run}/sweep.csv --plot-data {run}/runs.csv",
+        sweep_tables,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def output_inputs(tmp_path_factory):
+    """A 16 x 16 px scene and its N-FINDR unmixing, for the commands to read."""
+    root = tmp_path_factory.mktemp("outputs")
+    assert main(["synth", *SCENE_FLAGS, "--seed", "1", "--out", str(root / "scene")]) == 0
+    assert main([
+        "unmix", "--input", str(root / "scene" / "scaled.hsic"), "--endmembers", "3",
+        "--extract", "nfindr", "--out", str(root / "unmixed"),
+    ]) == 0
+    return root
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_RUNS))
+def test_manifest_lists_exactly_the_files_written(output_inputs, tmp_path, capsys, case):
+    # --manifest is honoured: no manifest lands in the run directory, and the
+    # one at the given path hashes every file the command wrote and no other
+    template, tables = OUTPUT_RUNS[case]
+    run, manifest_path = tmp_path / "run", tmp_path / "manifest.json"
+    run.mkdir()
+    argv = template.format(root=output_inputs, run=run).split()
+    capsys.readouterr()
+    assert main([*argv, "--manifest", str(manifest_path)]) == 0
+    stdout = capsys.readouterr().out
+    written = sorted(p for p in run.rglob("*") if p.is_file())
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"] == {str(p): blake2b_64(p) for p in written}
+    # each CSV table is its header, then the printed or JSON values by repr
+    expected = tables(run, stdout)
+    assert set(expected) <= set(written)
+    for path, text in expected.items():
+        assert path.read_text() == text
+
+
 EVAL_KEYS = {
     # case -> (mode, argv given the scene, the keys printed in order, the number of --csv rows)
     "mu": (

@@ -36,6 +36,7 @@ from hsiscale.correct import (
     candidate_normals,
     correct_pixels,
     denom_floor_for,
+    derive_seeds,
     estimate_scaling,
     gd_refine,
     newton_refine,
@@ -1130,6 +1131,14 @@ def test_rng_seed_drives_the_swarm_with_or_without_a_config(monkeypatch):
         for pso_config in (None, PsoConfig(iterations=2)):
             run_correction(scene.scaled_cube, 3, pso_config, candidate_count=16, rng_seed=rng_seed)
     assert seeds[0] == seeds[1] != seeds[2] == seeds[3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_derive_seeds_child_i_does_not_depend_on_the_count(seed):
+    # ablate's four streams start with a correction's two
+    four = derive_seeds(seed, 4)
+    assert four[:2] == derive_seeds(seed)
+    assert len(set(four)) == 4
 
 
 @pytest.mark.parametrize("snr_db, k", [(25.0, 6), (40.0, 5)])

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,17 @@ def test_nnls_is_resolved_on_first_access(monkeypatch):
     assert vars(module)["nnls"] is scipy.optimize.nnls  # cached for the next lookup
     with pytest.raises(AttributeError, match="has no attribute 'lstsq'"):
         module.lstsq
+
+
+def test_nnls_is_absent_without_scipy(monkeypatch):
+    # scipy is a test dependency only: without it the name is absent, like any other
+    module = importlib.import_module("hsiscale.unmix")
+    monkeypatch.delitem(vars(module), "nnls", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    assert getattr(module, "nnls", None) is None
+    with pytest.raises(AttributeError, match="has no attribute 'nnls'"):
+        module.nnls
+    assert "nnls" not in vars(module)
 
 
 def record_solves(monkeypatch):

@@ -38,7 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# numpy is imported where it is used: tools/line_audit.py imports this module
+# for BLAS_ENV before it pins BLAS, which must happen before numpy loads
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
@@ -116,6 +117,8 @@ def _flatten(value, prefix=""):
 
 def _floats(path: Path):
     """The numbers of a float artifact, or None for a file that holds none."""
+    import numpy as np
+
     raw = path.read_bytes()
     if path.suffix in _HEADER_BYTES:
         header = _HEADER_BYTES[path.suffix]
@@ -140,6 +143,8 @@ def _floats(path: Path):
 
 def max_relative_difference(a: Path, b: Path) -> float | None:
     """Largest |x - y| / max(|x|, |y|) over the floats of two artifacts; inf if their layout differs."""
+    import numpy as np
+
     fa, fb = _floats(a), _floats(b)
     if fa is None:
         return None

@@ -21,12 +21,12 @@ import tempfile
 import threading
 from pathlib import Path
 
+import artifact_diff
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hsiscale"
 DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider", "tests", "--ignore", "tests/test_acceptance.py"]
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -41,8 +41,7 @@ def executable_lines(path: Path) -> set[int]:
 
 def run_traffic() -> int:
     """One job of each benchmark workload, then README's walkthrough; 1 if a workload's check fails."""
-    sys.path[:0] = [str(SRC.parent), str(ROOT / "perfbench"), str(ROOT / "tools")]
-    import artifact_diff
+    sys.path[:0] = [str(SRC.parent), str(ROOT / "perfbench")]
     import workloads
 
     failed = 0
@@ -62,7 +61,7 @@ def run_traffic() -> int:
 def main(argv: list[str]) -> int:
     traffic = argv == ["--traffic"]
     if traffic:
-        for var in BLAS_ENV:
+        for var in artifact_diff.BLAS_ENV:
             os.environ.setdefault(var, "1")
     ran: dict[str, set[int]] = {str(path): set() for path in SRC.glob("*.py")}
 
