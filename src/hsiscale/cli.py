@@ -68,13 +68,13 @@ def _hash_file(path) -> str:
 class _ManifestWriter:
     """Collects run metadata and writes exactly one manifest per run."""
 
-    def __init__(self, args: argparse.Namespace, seed: int | None):
+    def __init__(self, args: argparse.Namespace):
         self.started = time.perf_counter()
         self.path = args.manifest
         self.payload = {
             "command": args.command,
             "version": __version__,
-            "seed": seed,
+            "seed": getattr(args, "seed", None),  # eval takes no --seed
             "config": {k: v for k, v in vars(args).items() if k != "func"},
             "hash": HASH_NAME,
             "inputs": {},
@@ -153,7 +153,7 @@ def _scene_config(args: argparse.Namespace, seed: int, scale_std: float, snr_db:
 
 def cmd_synth(args) -> int:
     config = _scene_config(args, args.seed, args.scale_std, args.snr_db)
-    manifest = _ManifestWriter(args, args.seed)
+    manifest = _ManifestWriter(args)
     scene = gen_scene(config)
     out = Path(args.out)
     write_scene(scene, config, out)
@@ -164,7 +164,7 @@ def cmd_synth(args) -> int:
 # -------------------------------------------------------------- correct
 
 def cmd_correct(args) -> int:
-    manifest = _ManifestWriter(args, args.seed)
+    manifest = _ManifestWriter(args)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
     if (code := _endmember_bound_error(args.endmembers, cube)) is not None:
@@ -194,7 +194,7 @@ def cmd_unmix(args) -> int:
     if (args.endmember_file is None) == (args.extract is None):
         return _usage_error("provide exactly one of --endmember-file or --extract nfindr")
 
-    manifest = _ManifestWriter(args, args.seed)
+    manifest = _ManifestWriter(args)
     cube = read_cube(args.input)
     manifest.add_input(args.input)
     pixels = cube.pixel_matrix()
@@ -279,7 +279,7 @@ def cmd_eval(args) -> int:
         # one line per endmember: its abundance RMSE, its spectral angle
         _write_table(args.csv, "endmember,abundance_rmse,sad", rows)
     if args.manifest:
-        manifest = _ManifestWriter(args, None)
+        manifest = _ManifestWriter(args)
         for path in inputs:
             manifest.add_input(path)
         manifest.write(None, [args.csv] if args.csv else [])
@@ -288,8 +288,14 @@ def cmd_eval(args) -> int:
 
 # --------------------------------------------------------------- ablate
 
+# criterion 4 measures the variants at these lengths: candidates, swarm iterations, descent steps
+ABLATE_CANDIDATES = 200
+ABLATE_PSO_ITERS = 150
+ABLATE_GD_ITERS = 500
+
+
 def cmd_ablate(args) -> int:
-    manifest = _ManifestWriter(args, args.seed)
+    manifest = _ManifestWriter(args)
     cube = read_cube(args.input)
     truth = ScalingField.from_raw(load_vector(args.truth_mu))
     if len(truth) != cube.n_pixels:
@@ -301,7 +307,7 @@ def cmd_ablate(args) -> int:
 
     reduced = svd_reduce(cube, args.endmembers)
     floor = denom_floor_for(reduced.pixels)
-    gd = GdConfig(max_iters=args.gd_iters)
+    gd = GdConfig(max_iters=ABLATE_GD_ITERS)
     # four streams; child i is the same for any count, so criterion 4's results keep their seeds
     seed_ints = derive_seeds(args.seed, 4)
 
@@ -318,14 +324,14 @@ def cmd_ablate(args) -> int:
     *_, gd_only = search_normal(reduced, random_units(seed_ints[0], 1), None, gd, seed_ints[2])
     # (b) swarm from random directions, then refinement; without
     # candidates the swarm stays at its base size
-    pso_b = PsoConfig(iterations=args.pso_iters)
+    pso_b = PsoConfig(iterations=ABLATE_PSO_ITERS)
     *_, pso_random_gd = search_normal(
         reduced, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd, seed_ints[2]
     )
     # (c) candidate-seeded swarm without refinement and (d) the full
     # search are two points of one run
-    candidates = candidate_normals(reduced, args.candidates, seed_ints[3])
-    pso_cd = PsoConfig(swarm_size=max(PsoConfig.swarm_size, args.candidates), iterations=args.pso_iters)
+    candidates = candidate_normals(reduced, ABLATE_CANDIDATES, seed_ints[3])
+    pso_cd = PsoConfig(swarm_size=max(PsoConfig.swarm_size, ABLATE_CANDIDATES), iterations=ABLATE_PSO_ITERS)
     _, candidates_pso, full = search_normal(reduced, candidates, pso_cd, gd, seed_ints[2])
 
     scores = {
@@ -353,7 +359,7 @@ def cmd_sweep(args) -> int:
     if not stds:
         return _usage_error("--stds must list at least one value")
 
-    manifest = _ManifestWriter(args, args.seed)
+    manifest = _ManifestWriter(args)
     rows = []
     per_run = []
     # scene seeds depend on the replicate only, not on the std: each
@@ -365,13 +371,7 @@ def cmd_sweep(args) -> int:
             scene_seed = int(np.random.SeedSequence([args.seed, j]).generate_state(1)[0])
             scene = gen_scene(_scene_config(args, scene_seed, std))
             run_seed = int(np.random.SeedSequence([args.seed, j, 1]).generate_state(1)[0])
-            _, report = run_correction(
-                scene.scaled_cube,
-                args.endmembers,
-                pso_config=PsoConfig(iterations=args.pso_iters),
-                candidate_count=args.candidates,
-                rng_seed=run_seed,
-            )
+            _, report = run_correction(scene.scaled_cube, args.endmembers, rng_seed=run_seed)
             err = rmse_mu(report.mu_hat, scene.mu_true)
             errors.append(err)
             per_run.append((std, j, err))
@@ -402,12 +402,6 @@ def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale-corr-len", type=float, default=6.0, dest="scale_corr_len")
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser, pso_iters: int, gd_iters: int | None) -> None:
-    parser.add_argument("--candidates", type=_count, default=CANDIDATE_COUNT)
-    parser.add_argument("--pso-iters", type=_count, default=pso_iters, dest="pso_iters")
-    parser.add_argument("--gd-iters", type=_count, default=gd_iters, dest="gd_iters")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsiscale",
@@ -431,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-out", required=True, dest="mu_out")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
-    _add_optimizer_flags(p, PsoConfig.iterations, None)
+    p.add_argument("--candidates", type=_count, default=CANDIDATE_COUNT)
+    p.add_argument("--pso-iters", type=_count, default=PsoConfig.iterations, dest="pso_iters")
+    p.add_argument("--gd-iters", type=_count, default=None, dest="gd_iters")
     _add_common(p)
     p.set_defaults(func=cmd_correct)
 
@@ -463,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", default=None, dest="plot_data")
-    # criterion 4 measures the variants at these lengths
-    _add_optimizer_flags(p, 150, GdConfig.max_iters)
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -475,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--plot-data", default=None, dest="plot_data")
     _add_scene_flags(p)
-    p.add_argument("--candidates", type=_count, default=CANDIDATE_COUNT)
-    p.add_argument("--pso-iters", type=_count, default=PsoConfig.iterations, dest="pso_iters")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

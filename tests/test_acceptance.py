@@ -319,11 +319,9 @@ def test_criterion_6h_command_determinism(tmp_path):
                      "--extract", "nfindr", "--seed", "6", "--out", str(base / "unmix")]) == 0
         assert main(["ablate", "--input", str(scene / "scaled.hsic"),
                      "--truth-mu", str(scene / "mu_true.f32"), "--endmembers", "3",
-                     "--seed", "3", "--out", str(base / "ab.json"),
-                     "--candidates", "32", "--pso-iters", "25", "--gd-iters", "60"]) == 0
+                     "--seed", "3", "--out", str(base / "ab.json")]) == 0
         assert main(["sweep", "--stds", "0.1,0.2", "--seeds", "1", "--seed", "2",
-                     "--out", str(base / "sweep.csv"), *flags,
-                     "--candidates", "32", "--pso-iters", "25"]) == 0
+                     "--out", str(base / "sweep.csv"), *flags]) == 0
         artifacts[tag] = b"".join(
             p.read_bytes()
             for p in sorted(base.rglob("*"))

@@ -20,15 +20,18 @@ def test_two_runs_of_the_walkthrough_read_identical(tmp_path):
         artifact_diff.run_side(SRC, tmp_path / side, 1, "small")
     rows = artifact_diff.compare_dirs(tmp_path / "a", tmp_path / "b")
     names = {row["artifact"] for row in rows}
-    assert {"corrected.hsic", "mu_hat.f32", "unmixed/abundances.csv", "ablation.json", "sweep.csv",
-            "eval_mu.json", "eval_abundance.json", "scene/manifest.json"} <= names
+    assert {"corrected.hsic", "corrected.report.json", "mu_hat.f32", "unmixed/abundances.csv",
+            "ablation.json", "ablation.csv", "sweep.csv", "sweep_runs.csv",
+            "eval_mu.json", "eval_mu.csv", "eval_abundance.json", "eval_abundance.csv",
+            "eval_endmembers.json", "eval_endmembers.csv", "eval_endmembers.manifest.json",
+            "scene/manifest.json"} <= names
     for row in rows:
         assert row["ok"], row
         if artifact_diff.is_manifest(Path(row["artifact"])):
             assert row["keys"] == ["duration_seconds"]
         else:
             assert row["identical"] and row["max_rel"] in (None, 0.0), row
-    assert next(row for row in rows if row["artifact"] == "corrected.hsic.report.json")["psi_rel"] == 0.0
+    assert next(row for row in rows if row["artifact"] == "corrected.report.json")["psi_rel"] == 0.0
 
     # one float a ulp off, and a manifest key changed, must both show
     changed = tmp_path / "c"

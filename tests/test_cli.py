@@ -14,6 +14,8 @@ from hsiscale import HsiCube, cli
 from hsiscale.cli import _hash_file, fnv1a64, main
 from hsiscale.correct import GdConfig, PsoConfig, run_correction
 from hsiscale.fileio import load_vector, read_cube, read_matrix_csv, save_vector, write_cube, write_matrix_csv
+from hsiscale.metrics import rmse_mu
+from hsiscale.synth import SynthConfig, gen_scene
 
 
 SCENE_FLAGS = [
@@ -21,6 +23,16 @@ SCENE_FLAGS = [
     "--corr-len", "2.5", "--scale-corr-len", "4.0",
 ]
 FAST_OPT = ["--candidates", "48", "--pso-iters", "40", "--gd-iters", "150"]
+
+
+@pytest.fixture
+def ablation_lengths(monkeypatch):
+    """Sets ``ablate``'s candidates, swarm iterations and descent steps below criterion 4's, for speed."""
+    def set_lengths(candidates, pso_iters, gd_iters):
+        monkeypatch.setattr(cli, "ABLATE_CANDIDATES", candidates)
+        monkeypatch.setattr(cli, "ABLATE_PSO_ITERS", pso_iters)
+        monkeypatch.setattr(cli, "ABLATE_GD_ITERS", gd_iters)
+    return set_lengths
 
 
 def synth(tmp_path, name="scene", std="0.3", seed="1", extra=()):
@@ -524,12 +536,12 @@ OUTPUT_RUNS = {
     ),
     "ablate": (
         "ablate --input {root}/scene/scaled.hsic --truth-mu {root}/scene/mu_true.f32 --endmembers 3 --seed 2 "
-        "--out {run}/ablate.json --plot-data {run}/ablate.csv --candidates 32 --pso-iters 25 --gd-iters 80",
+        "--out {run}/ablate.json --plot-data {run}/ablate.csv",
         ablate_tables,
     ),
     "sweep": (
         "sweep --stds 0.1,0.2 --seeds 2 " + " ".join(SCENE_FLAGS)
-        + " --candidates 32 --pso-iters 25 --out {run}/sweep.csv --plot-data {run}/runs.csv",
+        + " --out {run}/sweep.csv --plot-data {run}/runs.csv",
         sweep_tables,
     ),
 }
@@ -548,9 +560,10 @@ def output_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", list(OUTPUT_RUNS))
-def test_manifest_lists_exactly_the_files_written(output_inputs, tmp_path, capsys, case):
+def test_manifest_lists_exactly_the_files_written(output_inputs, tmp_path, capsys, ablation_lengths, case):
     # --manifest is honoured: no manifest lands in the run directory, and the
     # one at the given path hashes every file the command wrote and no other
+    ablation_lengths(32, 25, 80)
     template, tables = OUTPUT_RUNS[case]
     run, manifest_path = tmp_path / "run", tmp_path / "manifest.json"
     run.mkdir()
@@ -690,13 +703,13 @@ def test_eval_mu_bad_clean_cube(tmp_path, capsys, cube, error):
     assert captured.out == ""
 
 
-def test_ablate_report(tmp_path, capsys):
+def test_ablate_report(tmp_path, capsys, ablation_lengths):
+    ablation_lengths(32, 25, 80)
     scene = synth(tmp_path)
     report_path = tmp_path / "ablate.json"
     code = main([
         "ablate", "--input", str(scene / "scaled.hsic"), "--truth-mu", str(scene / "mu_true.f32"),
         "--endmembers", "3", "--seed", "2", "--out", str(report_path),
-        "--candidates", "32", "--pso-iters", "25", "--gd-iters", "80",
         "--plot-data", str(tmp_path / "ablate.csv"),
     ])
     assert code == 0
@@ -707,17 +720,17 @@ def test_ablate_report(tmp_path, capsys):
     assert (tmp_path / "ablate.json.manifest.json").exists()
 
 
-def test_ablate_zero_std_candidate_variants_exact(tmp_path):
+def test_ablate_zero_std_candidate_variants_exact(tmp_path, ablation_lengths):
     # with no scaling applied, the candidate-seeded variants recover the
     # unit field almost exactly; single-start gradient descent can still
     # land in a facet-fitting local minimum (the landscape's structure
     # does not come from the scaling), so only (c) and (d) are pinned
+    ablation_lengths(48, 40, 200)
     scene = synth(tmp_path, std="0", seed="3")
     out = tmp_path / "ab0.json"
     code = main([
         "ablate", "--input", str(scene / "scaled.hsic"), "--truth-mu", str(scene / "mu_true.f32"),
         "--endmembers", "3", "--seed", "1", "--out", str(out),
-        "--candidates", "48", "--pso-iters", "40", "--gd-iters", "200",
     ])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -729,8 +742,7 @@ def test_sweep_csv_and_usage(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--stds", "0.1,0.2", "--seeds", "1", "--seed", "0", "--out", str(out),
-        *SCENE_FLAGS, "--candidates", "32", "--pso-iters", "25",
-        "--plot-data", str(tmp_path / "runs.csv"),
+        *SCENE_FLAGS, "--plot-data", str(tmp_path / "runs.csv"),
     ])
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -740,6 +752,29 @@ def test_sweep_csv_and_usage(tmp_path, capsys):
 
     assert main(["sweep", "--stds", "", "--out", str(out)]) == 2
     assert main(["sweep", "--stds", "abc", "--out", str(out)]) == 2
+
+
+def test_sweep_runs_the_library_default_search(tmp_path):
+    # each run is run_correction at its defaults, seeded from --seed and the
+    # replicate, on the replicate's scene rescaled to the std
+    runs = tmp_path / "runs.csv"
+    assert main([
+        "sweep", "--stds", "0.2", "--seeds", "2", "--seed", "5", *SCENE_FLAGS,
+        "--out", str(tmp_path / "sweep.csv"), "--plot-data", str(runs),
+    ]) == 0
+    errors = [float(line.split(",")[2]) for line in runs.read_text().splitlines()[1:]]
+    expected = []
+    for j in range(2):
+        scene_seed, run_seed = (
+            int(np.random.SeedSequence(key).generate_state(1)[0]) for key in ([5, j], [5, j, 1])
+        )
+        scene = gen_scene(SynthConfig(
+            height=16, width=16, bands=14, endmembers=3, correlation_length=2.5,
+            scale_std=0.2, scale_correlation_length=4.0, seed=scene_seed,
+        ))
+        _, report = run_correction(scene.scaled_cube, 3, rng_seed=run_seed)
+        expected.append(rmse_mu(report.mu_hat, scene.mu_true))
+    assert errors == expected
 
 
 def test_exit_code_contract_unknown_command(capsys):
@@ -774,9 +809,9 @@ CLI_FAILURES = {
     "correct-zero-candidates": (CORRECT + " --candidates 0", 2, "--candidates: must be >= 1, got 0"),
     "correct-zero-pso-iters": (CORRECT + " --pso-iters 0", 2, "--pso-iters: must be >= 1, got 0"),
     "correct-zero-gd-iters": (CORRECT + " --gd-iters 0", 2, "--gd-iters: must be >= 1, got 0"),
-    "ablate-zero-gd-iters": (ABLATE + " --gd-iters 0", 2, "--gd-iters: must be >= 1, got 0"),
+    "ablate-gd-iters-unrecognized": (ABLATE + " --gd-iters 5", 2, "unrecognized arguments: --gd-iters 5"),
     "sweep-zero-seeds": (SWEEP + " --seeds 0", 2, "--seeds: must be >= 1, got 0"),
-    "sweep-zero-candidates": (SWEEP + " --candidates 0", 2, "--candidates: must be >= 1, got 0"),
+    "sweep-candidates-unrecognized": (SWEEP + " --candidates 5", 2, "unrecognized arguments: --candidates 5"),
     "correct-non-integer-seed": (CORRECT + " --seed 1.5", 2, "--seed: invalid int value: '1.5'"),
     "unmix-endmember-count-mismatch": (
         "unmix --input {scene}/clean.hsic --endmember-file {scene}/endmembers.csv --endmembers 5 --out {out}",

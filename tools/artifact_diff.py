@@ -19,9 +19,11 @@ apart, whose keys may differ only in ``duration_seconds``; 1 otherwise.
     python tools/artifact_diff.py --walk OUT --src SRC [--small]
 
 runs the walkthrough once into OUT with the hsiscale of SRC, which is what
-each side's process does. The steps run in-process through
-``hsiscale.cli.main``, in OUT as the working directory, and each ``eval``
-prints to a JSON file of its own.
+each side's process does. The steps are README's commands, each with every
+optional output (``correct --report``, ``eval --csv``, ``ablate`` and
+``sweep --plot-data``), plus an ``eval endmembers`` that also writes its
+``--manifest``. They run in-process through ``hsiscale.cli.main``, in OUT
+as the working directory, and each ``eval`` prints to a JSON file of its own.
 """
 
 from __future__ import annotations
@@ -53,24 +55,32 @@ _HEADER_BYTES = {".hsic": struct.calcsize("<4sHHIII"), ".f32": struct.calcsize("
 
 
 def walkthrough_steps(size: str) -> list[tuple[str | None, list[str]]]:
-    """README's walkthrough as (stdout file or None, argv) pairs, paths relative to the run's directory."""
+    """README's walkthrough with every optional output, as (stdout file or None, argv) pairs,
+    paths relative to the run's directory."""
     z = SIZES[size]
     grid = ["--height", z["grid"], "--width", z["grid"], "--bands", z["bands"], "--endmembers", z["k"]]
     return [
         (None, ["synth", *grid, "--scale-std", "0.3", "--seed", "7", "--out", "scene"]),
         (None, ["correct", "--input", "scene/scaled.hsic", "--endmembers", z["k"],
-                "--out", "corrected.hsic", "--mu-out", "mu_hat.f32", "--seed", "7"]),
+                "--out", "corrected.hsic", "--mu-out", "mu_hat.f32", "--seed", "7",
+                "--report", "corrected.report.json"]),
         ("eval_mu.json", ["eval", "mu", "--pred", "mu_hat.f32", "--truth", "scene/mu_true.f32",
-                          "--clean-cube", "scene/clean.hsic"]),
+                          "--clean-cube", "scene/clean.hsic", "--csv", "eval_mu.csv"]),
         (None, ["unmix", "--input", "corrected.hsic", "--endmembers", z["k"], "--extract", "nfindr",
                 "--seed", "7", "--out", "unmixed"]),
         ("eval_abundance.json", ["eval", "abundance", "--pred", "unmixed/abundances.csv",
                                  "--truth", "scene/abundances.csv",
                                  "--pred-endmembers", "unmixed/endmembers.csv",
-                                 "--truth-endmembers", "scene/endmembers.csv"]),
+                                 "--truth-endmembers", "scene/endmembers.csv",
+                                 "--csv", "eval_abundance.csv"]),
+        ("eval_endmembers.json", ["eval", "endmembers", "--pred", "unmixed/endmembers.csv",
+                                  "--truth", "scene/endmembers.csv", "--csv", "eval_endmembers.csv",
+                                  "--manifest", "eval_endmembers.manifest.json"]),
         (None, ["ablate", "--input", "scene/scaled.hsic", "--truth-mu", "scene/mu_true.f32",
-                "--endmembers", z["k"], "--seed", "7", "--out", "ablation.json"]),
-        (None, ["sweep", "--stds", z["stds"], "--seeds", z["seeds"], *grid, "--out", "sweep.csv"]),
+                "--endmembers", z["k"], "--seed", "7", "--out", "ablation.json",
+                "--plot-data", "ablation.csv"]),
+        (None, ["sweep", "--stds", z["stds"], "--seeds", z["seeds"], *grid, "--out", "sweep.csv",
+                "--plot-data", "sweep_runs.csv"]),
     ]
 
 
