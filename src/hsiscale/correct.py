@@ -61,7 +61,7 @@ CANDIDATE_MAX_COND = 1e6
 CANDIDATE_MAX_RETRIES = 20
 _SEPARATION_SUBSAMPLE = 512
 _PAIR_ROWS = 64  # rows of the sub-sample's distance triangle computed at once
-_CANDIDATE_BATCH = 256  # K-sets tested at once; bounds the draws x K^3 distance temporary
+_CANDIDATE_BATCH = 1024  # K-sets drawn and tested at once; bounds the draws x K^2 temporaries
 # swarm weights: the constriction values of Clerc & Kennedy (IEEE TEVC 2002)
 _PSO_INERTIA = 0.72
 _PSO_COGNITIVE = 1.49
@@ -328,7 +328,26 @@ class _PsiEvaluator:
         self._helper_blocks: list[np.ndarray] = []
 
     def value(self, normal: np.ndarray) -> float:
-        return float(self.batch(normal[None])[0])
+        """``batch(normal[None])[0]``, bit for bit, scored in the caller's
+        block without a batch's hand-out."""
+        d = float(normal @ self.c_star)
+        if not abs(d) >= self.denom_floor:
+            return math.inf
+        return float(self._score(normal[None] * math.copysign(1.0, d), abs(d), self._block)[0])
+
+    def _score(self, rows: np.ndarray, d, block: np.ndarray) -> np.ndarray:
+        """Objective of each of ``rows``, worked out in ``block``; each row is
+        turned so that its d = c* . n is positive, and ``d`` holds those d, as
+        a column or as one number."""
+        s = block[: rows.shape[0]]
+        with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
+            np.matmul(rows, self.pixels, out=s)        # s = n . p
+            s += 0.0                                   # -0.0 to +0.0, so zeros clamp to +1/MU_FLOOR
+            np.divide(d, s, out=s)                     # 1/mu, +-inf where s is (near) zero
+            np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # clamp |mu| >= MU_FLOOR, sign kept
+            np.subtract(1.0, s, out=s)
+            np.square(s, out=s)
+        return s @ self.sq_norms
 
     def batch(self, normals: np.ndarray) -> np.ndarray:
         """Objective for each row of ``normals``."""
@@ -345,21 +364,12 @@ class _PsiEvaluator:
 
         def fill(block: np.ndarray) -> None:
             """Score the blocks that ``starts`` hands out, in ``block``."""
-            with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
-                while True:
-                    with handout:
-                        i = next(starts, None)
-                    if i is None:
-                        return
-                    n = oriented[i:i + rows]
-                    s = block[: n.shape[0]]
-                    np.matmul(n, self.pixels, out=s)   # s = n . p
-                    s += 0.0                           # -0.0 to +0.0, so zeros clamp to +1/MU_FLOOR
-                    np.divide(d[i:i + rows, None], s, out=s)  # 1/mu, +-inf where s is (near) zero
-                    np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # clamp |mu| >= MU_FLOOR, sign kept
-                    np.subtract(1.0, s, out=s)
-                    np.square(s, out=s)
-                    out[valid[i:i + rows]] = s @ self.sq_norms
+            while True:
+                with handout:
+                    i = next(starts, None)
+                if i is None:
+                    return
+                out[valid[i:i + rows]] = self._score(oriented[i:i + rows], d[i:i + rows, None], block)
 
         later_blocks = len(range(rows, valid.size, rows))
         helpers = min(_HELPER_COUNT, _MAX_HELPERS, later_blocks)
@@ -438,7 +448,10 @@ def _median_pair_distance(points: np.ndarray) -> float:
     Each squared distance sums its K terms in coordinate order, then takes
     the root, as ``scipy.spatial.distance.pdist`` does, so the result equals
     ``np.median(pdist(points.T))``. The upper triangle is filled
-    ``_PAIR_ROWS`` rows at a time: no m x m temporary.
+    ``_PAIR_ROWS`` rows at a time: no m x m temporary. The median is the
+    middle element, or the mean of the middle two as ``np.median`` takes
+    it, found by a partition in place; ``np.median`` would import
+    ``numpy.ma`` on its first call, which costs more than the whole step.
     """
     m = points.shape[1]
     dists = np.empty(m * (m - 1) // 2)
@@ -451,7 +464,33 @@ def _median_pair_distance(points: np.ndarray) -> float:
         upper = sq[np.triu(np.ones(sq.shape, dtype=bool))]  # the pairs with j > i
         dists[filled:filled + upper.size] = np.sqrt(upper)
         filled += upper.size
-    return float(np.median(dists, overwrite_input=True))
+    half = dists.size // 2
+    if dists.size % 2:
+        dists.partition(half)
+        return float(dists[half])
+    dists.partition((half - 1, half))
+    return float((dists[half - 1] + dists[half]) / 2.0)
+
+
+def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> list[np.ndarray]:
+    """The solution of ``a @ x = rhs`` for each matrix ``a`` of a stack, in
+    order, leaving out the singular ones.
+
+    One stacked call runs LAPACK's gesv once per matrix, so each solution
+    has the bits of a call of its own. When a singular matrix fails the
+    stacked call, the matrices are solved one at a time.
+    """
+    try:
+        return list(np.linalg.solve(matrices, rhs))
+    except np.linalg.LinAlgError:  # one singular matrix fails the stacked call
+        pass
+    solutions = []
+    for a in matrices:
+        try:
+            solutions.append(np.linalg.solve(a, rhs))
+        except np.linalg.LinAlgError:
+            continue
+    return solutions
 
 
 def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[np.ndarray]:
@@ -465,11 +504,17 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     ``CANDIDATE_MIN_SEPARATION`` times the median distance over all pairs
     of a random sub-sample of at most 512 pixels.
 
-    The K-sets are tested in batches of at most as many sets as are still
-    missing, so the result is that of testing each draw as it comes. Each
-    batch is one integer draw equal to per-set ``rng.choice`` (see
-    ``_draw_k_sets``; only above numpy's tail-shuffle threshold, K > 200,
-    do the sets differ, and they are still uniform).
+    The result is that of testing each draw in turn and stopping at
+    ``count`` normals or after ``CANDIDATE_MAX_RETRIES * count`` draws. The
+    sets are still drawn, tested and solved ``_CANDIDATE_BATCH`` at a time,
+    and the draws after the set that completes the count are thrown away.
+    The size of a chunk cannot change the sets: each chunk is one integer
+    draw equal to per-set ``rng.choice`` (see ``_draw_k_sets``; only above
+    numpy's tail-shuffle threshold, K > 200, do the sets differ, and they
+    are still uniform), and the generator hands out its bounded integers
+    one at a time from one stream, however many are asked for at once.
+    Each gap and each solution is worked out on its own, with the bits a
+    one-set test gives it.
     """
     if count < 1:
         raise ValidationError("candidate count must be >= 1")
@@ -485,25 +530,30 @@ def candidate_normals(reduced: ReducedData, count: int, rng_seed: int) -> list[n
     if k >= 2:
         sub = pixels[:, rng.choice(n, size=min(n, _SEPARATION_SUBSAMPLE), replace=False)]
         min_separation = CANDIDATE_MIN_SEPARATION * _median_pair_distance(sub)
-    off_diagonal = ~np.eye(k, dtype=bool)
+    first, second = np.triu_indices(k, 1)  # each pair of a set's pixels once
 
     accepted: list[np.ndarray] = []
     budget = CANDIDATE_MAX_RETRIES * count
     while budget > 0 and len(accepted) < count:
-        draws = min(budget, count - len(accepted), _CANDIDATE_BATCH)
+        draws = min(budget, _CANDIDATE_BATCH)
         budget -= draws
-        idx = _draw_k_sets(rng, n, k, draws)
-        sets = pixels[:, idx].transpose(1, 0, 2)  # (draws, K, K), one pixel per column
+        coords = pixels[:, _draw_k_sets(rng, n, k, draws)]  # (K, draws, K): coordinate, set, pixel
+        sets = coords.transpose(1, 0, 2)  # (draws, K, K), one pixel per column
         if k >= 2:
-            gaps = np.linalg.norm(sets[..., None] - sets[..., None, :], axis=1)
-            sets = sets[gaps[:, off_diagonal].min(axis=1) >= min_separation]
+            sq = np.zeros((draws, first.size))
+            for coord in coords:  # summed in coordinate order, as a norm over the coordinates sums them
+                sq += (coord[:, first] - coord[:, second]) ** 2
+            sets = sets[np.sqrt(sq).min(axis=1) >= min_separation]
         # numpy's cond reads a 0/0 ratio as inf, not nan, so the test rejects it
-        for b in sets[np.linalg.cond(sets) <= CANDIDATE_MAX_COND]:
+        sets = sets[np.linalg.cond(sets) <= CANDIDATE_MAX_COND]
+        for normal in _solve_each(sets.transpose(0, 2, 1), ones):
             try:
-                model = HyperplaneModel.build(reduced.mean_pixel, np.linalg.solve(b.T, ones), floor)
-            except (np.linalg.LinAlgError, ValidationError, NearOrthogonalNormalError):
+                model = HyperplaneModel.build(reduced.mean_pixel, normal, floor)
+            except (ValidationError, NearOrthogonalNormalError):
                 continue
             accepted.append(model.normal)
+            if len(accepted) == count:
+                break
 
     if not accepted:
         raise DegenerateDataError(

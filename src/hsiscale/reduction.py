@@ -69,8 +69,13 @@ class ReducedData:
 
     @functools.cached_property
     def mean_pixel(self) -> np.ndarray:
-        """Mean of the reduced pixels, summed compensated per coordinate; read-only."""
-        mean = np.array([math.fsum(row) / self.n_pixels for row in self.pixels])
+        """Mean of the reduced pixels, summed compensated per coordinate; read-only.
+
+        Each row goes to ``fsum`` as a list of floats, one row at a time: the
+        same exact sum as over the row, without a numpy scalar per element,
+        and no list the size of the whole matrix.
+        """
+        mean = np.array([math.fsum(row.tolist()) / self.n_pixels for row in self.pixels])
         mean.setflags(write=False)
         return mean
 

@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +211,64 @@ def test_candidate_filter_matches_reference_in_small_batches(monkeypatch, filter
     assert_same_candidates(filter_scenes["noisy"], 64, rng_seed=11)
 
 
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_candidate_filter_matches_reference_when_the_count_is_met_mid_chunk(monkeypatch, filter_scenes, chunk):
+    # most K=2 sets pass, so the count is met with solved sets of the last
+    # chunk left over; they and the rest of its draws are thrown away
+    monkeypatch.setattr(correct_module, "_CANDIDATE_BATCH", chunk)
+    solved, built = [], []
+    solve_each, build = correct_module._solve_each, HyperplaneModel.build
+
+    def counted_solve_each(matrices, rhs):
+        solutions = solve_each(matrices, rhs)
+        solved.extend(solutions)
+        return solutions
+
+    def counted_build(c_star, normal, denom_floor):
+        built.append(normal)
+        return build(c_star, normal, denom_floor)
+
+    monkeypatch.setattr(correct_module, "_solve_each", counted_solve_each)
+    monkeypatch.setattr(HyperplaneModel, "build", staticmethod(counted_build))
+    for seed in (0, 1):
+        want = candidate_reference(filter_scenes["k2"], 6, seed)
+        solved.clear(), built.clear()
+        got = candidate_normals(filter_scenes["k2"], 6, seed)
+        assert len(got) == len(want) == 6
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(built) < len(solved)
+
+
+def test_candidate_filter_solves_set_by_set_when_the_stacked_solve_fails(monkeypatch, filter_scenes):
+    want = candidate_normals(filter_scenes["bench"], 64, 11)
+    solve = np.linalg.solve
+    stacked = []
+
+    def refuse_stacks(a, b):
+        if np.ndim(a) == 3:
+            stacked.append(a.shape[0])
+            raise np.linalg.LinAlgError("constructed failure")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse_stacks)
+    got = candidate_normals(filter_scenes["bench"], 64, 11)
+    assert stacked and len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_solve_each_leaves_out_a_singular_matrix_and_keeps_the_bits():
+    matrices = np.random.default_rng(24).normal(size=(5, 4, 4))
+    matrices[2, 3] = matrices[2, 1]  # two equal rows: exactly singular
+    rhs = np.ones(4)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(matrices[2], rhs)
+    got = correct_module._solve_each(matrices, rhs)
+    want = [np.linalg.solve(a, rhs) for i, a in enumerate(matrices) if i != 2]
+    assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want))
+    clean = np.delete(matrices, 2, axis=0)  # no singular matrix: one stacked call
+    assert all(np.array_equal(g, w) for g, w in zip(correct_module._solve_each(clean, rhs), want))
+
+
 @pytest.mark.parametrize("scene", ["bench", "noisy"])
 def test_candidate_filter_memory_is_bounded(filter_scenes, scene):
     # no all-pairs temporary of the 512-pixel separation sub-sample
@@ -237,6 +298,28 @@ def test_median_pair_distance_equals_pdist_at_any_size(m, k):
     # 512 points span several row blocks, the last one short
     points = np.random.default_rng(m * 10 + k).normal(0.0, 3.0, (k, m))
     assert _median_pair_distance(points) == np.median(pdist(points.T))
+
+
+NO_MASKED_ARRAY_SCRIPT = """
+import sys
+from hsiscale import SynthConfig, gen_scene, run_correction
+
+scene = gen_scene(SynthConfig(height=12, width=12, bands=20, endmembers=3, scale_std=0.3, seed=5))
+run_correction(scene.scaled_cube, 3, rng_seed=5)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_correction_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call, which costs more than
+    # the separation median itself; a fresh process shows what one run loads
+    src = str(Path(correct_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAY_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("scene", ["k2", "k8"])
@@ -393,6 +476,17 @@ def test_psi_batch_matches_unfused_reference(monkeypatch, block_rows, n_random):
     mu = (normals[0] @ evaluator.pixels) / float(normals[0] @ evaluator.c_star)
     assert np.count_nonzero(np.abs(mu) < MU_FLOOR) == 4
     assert np.array_equal(mu[4:6], [-MU_FLOOR, MU_FLOOR])
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_psi_value_is_a_one_row_batch_bit_for_bit(monkeypatch, block_rows):
+    monkeypatch.setattr(correct_module, "BLOCK_BYTES", block_rows * 8 * 500)
+    evaluator, normals = kernel_case(296)
+    assert evaluator._block.shape[0] == block_rows
+    for n in normals:  # the special rows first: clamps, -0.0 ratios, orthogonal normals
+        value = evaluator.value(n)
+        assert type(value) is float
+        assert np.array_equal(value, evaluator.batch(n[None])[0])
 
 
 def test_psi_batch_is_bitwise_sign_invariant():
