@@ -319,20 +319,22 @@ def cmd_ablate(args) -> int:
         vecs = np.random.default_rng(seed).standard_normal((count, reduced.k))
         return [v / np.linalg.norm(v) for v in vecs]
 
-    # each variant is a cut of the one search. (a) refinement alone from
-    # one random direction
+    # each variant is a cut of the one search; its swarms score in float64,
+    # because (c) reads a swarm's own endpoint, which float32's ψ resolution
+    # (about 1e-7 relative) would stop short. (a) refinement alone from one
+    # random direction
     *_, gd_only = search_normal(reduced, random_units(seed_ints[0], 1), None, gd, seed_ints[2])
     # (b) swarm from random directions, then refinement; without
     # candidates the swarm stays at its base size
     pso_b = PsoConfig(iterations=ABLATE_PSO_ITERS)
     *_, pso_random_gd = search_normal(
-        reduced, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd, seed_ints[2]
+        reduced, random_units(seed_ints[1], pso_b.swarm_size), pso_b, gd, seed_ints[2], np.float64
     )
     # (c) candidate-seeded swarm without refinement and (d) the full
     # search are two points of one run
     candidates = candidate_normals(reduced, ABLATE_CANDIDATES, seed_ints[3])
     pso_cd = PsoConfig(swarm_size=max(PsoConfig.swarm_size, ABLATE_CANDIDATES), iterations=ABLATE_PSO_ITERS)
-    _, candidates_pso, full = search_normal(reduced, candidates, pso_cd, gd, seed_ints[2])
+    _, candidates_pso, full = search_normal(reduced, candidates, pso_cd, gd, seed_ints[2], np.float64)
 
     scores = {
         "gd_only": score(gd_only),

@@ -12,7 +12,7 @@ divides it out:
    it holds every accepted candidate, topped up to 64 particles with
    random directions,
 4. locate the basin of the projection residual's minimum with a short
-   PSO run,
+   PSO run, whose particles are scored in float32,
 5. polish with damped Newton steps in the affine chart c* . m = 1 of the
    anchor (projected gradient descent on the unit sphere instead, when the
    caller configures it),
@@ -21,6 +21,14 @@ divides it out:
 The residual objective is scale- and sign-invariant in the normal, so the
 swarm and gradient descent search the unit sphere and the Newton polish
 the affine chart.
+
+The swarm only compares objective values to decide where its particles
+move, so it decides in float32, at about half the kernel's cost; its
+positions and velocities stay float64. Everything reported is float64:
+the starts, the swarm's endpoint and the polish are each scored in
+float64, and a stage whose float64 score is above the previous one's is
+dropped, which is what guarantees "never above the best start". The
+polish, the scale factors and the corrected cube are float64 throughout.
 """
 
 from __future__ import annotations
@@ -306,8 +314,19 @@ class _PsiEvaluator:
     """Precomputed-state evaluator shared by the optimizers.
 
     ``batch`` is the one place the objective is computed. It works through
-    the valid particles in blocks of ``max(1, BLOCK_BYTES // (8 N))`` rows,
-    fused and in place in a float64 scratch block. A batch of two or more
+    the valid particles in blocks of ``max(1, BLOCK_BYTES // (itemsize N))``
+    rows, fused and in place in a scratch block of the kernel's ``dtype``,
+    float64 unless the caller asks otherwise. The validity test |d| >=
+    ``denom_floor`` and the orientation of each row stay float64 whatever
+    the dtype; only then are the rows and their d cast. A float32 kernel
+    works on the pixels times a power of two that puts the largest pixel
+    norm in [0.5, 1): the factor is exact and leaves every ratio d / (n . p)
+    as it is, so a cube of very large or very small values neither
+    overflows nor underflows float32, and the scores come back in the
+    original units as float64. A float32 score agrees with the float64
+    one to about 1e-7 relative, less closely where some pixel's n . p
+    nearly cancels; it is good for ranking particles, not for reporting.
+    A batch of two or more
     blocks hands them out, one at a time under a lock, to the caller and to
     at most ``_MAX_HELPERS`` threads of ``_HELPER_POOL``, never more helpers
     than blocks after the first. Each worker owns one scratch block, so
@@ -318,13 +337,21 @@ class _PsiEvaluator:
     raising.
     """
 
-    def __init__(self, reduced: ReducedData, c_star: np.ndarray):
+    def __init__(self, reduced: ReducedData, c_star: np.ndarray, dtype=np.float64):
         self.pixels = reduced.pixels
         self.c_star = np.asarray(c_star, dtype=np.float64)
         self.sq_norms = np.einsum("ij,ij->j", self.pixels, self.pixels)
         self.denom_floor = denom_floor_for(self.pixels)
+        self.dtype = np.dtype(dtype)
+        self._exponent = 0  # the kernel sees the pixels times 2^-exponent
+        self._kernel_pixels, self._kernel_weights = self.pixels, self.sq_norms
+        if self.dtype != np.float64:  # largest pixel norm into [0.5, 1)
+            self._exponent = math.frexp(math.sqrt(float(self.sq_norms.max(initial=0.0))))[1]
+            self._kernel_pixels = self._rescaled(self.pixels, -self._exponent)
+            self._kernel_weights = self._rescaled(self.sq_norms, -2 * self._exponent)
         n = self.pixels.shape[1]
-        self._block = np.empty((max(1, BLOCK_BYTES // (8 * n)), n))  # the caller's
+        rows = max(1, BLOCK_BYTES // (self.dtype.itemsize * n))
+        self._block = np.empty((rows, n), dtype=self.dtype)  # the caller's
         self._helper_blocks: list[np.ndarray] = []
 
     def value(self, normal: np.ndarray) -> float:
@@ -333,21 +360,37 @@ class _PsiEvaluator:
         d = float(normal @ self.c_star)
         if not abs(d) >= self.denom_floor:
             return math.inf
-        return float(self._score(normal[None] * math.copysign(1.0, d), abs(d), self._block)[0])
+        rows, d = self._kernel_inputs(normal[None] * math.copysign(1.0, d), abs(d))
+        with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
+            psi = float(self._score(rows, d, self._block)[0])
+        return math.ldexp(psi, 2 * self._exponent)
+
+    def _rescaled(self, values, exponent: int) -> np.ndarray:
+        """``values`` times 2^exponent, exact in float64 and rounded once into
+        the kernel's dtype, with no float64 temporary."""
+        out = np.empty(np.shape(values), dtype=self.dtype)
+        return np.ldexp(values, exponent, out=out, casting="same_kind")
+
+    def _kernel_inputs(self, rows: np.ndarray, d):
+        """Oriented float64 ``rows`` and their d, in the kernel's precision and
+        units; the validity test and the orientation stay in float64."""
+        if self.dtype == np.float64:
+            return rows, d
+        return rows.astype(self.dtype), self._rescaled(d, -self._exponent)
 
     def _score(self, rows: np.ndarray, d, block: np.ndarray) -> np.ndarray:
-        """Objective of each of ``rows``, worked out in ``block``; each row is
-        turned so that its d = c* . n is positive, and ``d`` holds those d, as
-        a column or as one number."""
+        """Objective of each of ``rows``, worked out in ``block`` in the
+        kernel's units; each row is turned so that its d = c* . n is positive,
+        and ``d`` holds those d, as a column or as one number. The caller holds
+        an ``np.errstate`` that ignores divide and overflow."""
         s = block[: rows.shape[0]]
-        with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
-            np.matmul(rows, self.pixels, out=s)        # s = n . p
-            s += 0.0                                   # -0.0 to +0.0, so zeros clamp to +1/MU_FLOOR
-            np.divide(d, s, out=s)                     # 1/mu, +-inf where s is (near) zero
-            np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # clamp |mu| >= MU_FLOOR, sign kept
-            np.subtract(1.0, s, out=s)
-            np.square(s, out=s)
-        return s @ self.sq_norms
+        np.matmul(rows, self._kernel_pixels, out=s)    # s = n . p
+        s += 0.0                                       # -0.0 to +0.0, so zeros clamp to +1/MU_FLOOR
+        np.divide(d, s, out=s)                         # 1/mu, +-inf where s is (near) zero
+        np.clip(s, -1.0 / MU_FLOOR, 1.0 / MU_FLOOR, out=s)  # clamp |mu| >= MU_FLOOR, sign kept
+        np.subtract(1.0, s, out=s)
+        np.square(s, out=s)
+        return s @ self._kernel_weights
 
     def batch(self, normals: np.ndarray) -> np.ndarray:
         """Objective for each row of ``normals``."""
@@ -356,20 +399,22 @@ class _PsiEvaluator:
         valid = np.flatnonzero(np.abs(d) >= self.denom_floor)
         # the objective is even in n and negation is exact: turning every row
         # to d > 0 makes a zero n . p give 1/mu = d / +0 = +inf, clamped positive
-        oriented = normals[valid] * np.copysign(1.0, d[valid])[:, None]
-        d = np.abs(d[valid])
+        oriented, d = self._kernel_inputs(
+            normals[valid] * np.copysign(1.0, d[valid])[:, None], np.abs(d[valid])
+        )
         rows = self._block.shape[0]
         starts = iter(range(0, valid.size, rows))      # one block at a time, to any worker
         handout = threading.Lock()                     # sharing an iterator is unsafe without a GIL
 
         def fill(block: np.ndarray) -> None:
             """Score the blocks that ``starts`` hands out, in ``block``."""
-            while True:
-                with handout:
-                    i = next(starts, None)
-                if i is None:
-                    return
-                out[valid[i:i + rows]] = self._score(oriented[i:i + rows], d[i:i + rows, None], block)
+            with np.errstate(divide="ignore", over="ignore"):  # per thread, like all errstate
+                while True:
+                    with handout:
+                        i = next(starts, None)
+                    if i is None:
+                        return
+                    out[valid[i:i + rows]] = self._score(oriented[i:i + rows], d[i:i + rows, None], block)
 
         later_blocks = len(range(rows, valid.size, rows))
         helpers = min(_HELPER_COUNT, _MAX_HELPERS, later_blocks)
@@ -382,7 +427,7 @@ class _PsiEvaluator:
             for task in tasks:
                 if not task.cancel():
                     task.result()
-        return out
+        return np.ldexp(out, 2 * self._exponent, out=out)
 
     def chart_system(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the objective in the anchor's affine chart.
@@ -568,11 +613,17 @@ def pso_minimize(
     initial_normals: list[np.ndarray],
     config: PsoConfig,
     seed: int,
+    dtype=np.float32,
 ) -> np.ndarray:
     """Global search for the residual-minimizing unit normal.
 
     Supplied normals become the first particles (the swarm grows to hold
-    them all), so the result is never worse than the best of them. Each
+    them all). The particles are scored in ``dtype``, float32 unless the
+    caller asks otherwise, while their positions and velocities stay
+    float64. In float64 the result is never worse than the best start; in
+    float32 two scores closer than about 1e-7 relative may rank either way,
+    so the caller rescores the result in float64 and keeps the best start
+    if it is not lower, as ``search_normal`` does. Each
     particle owns an RNG stream spawned from ``seed`` by its index, so a
     swarm grown to hold more starts leaves the first particles' draws
     unchanged. Position updates renormalize onto the unit sphere, matching
@@ -581,7 +632,7 @@ def pso_minimize(
     if not initial_normals:
         raise ValidationError("at least one initial normal is required")
     k = reduced.k
-    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
+    evaluator = _PsiEvaluator(reduced, reduced.mean_pixel, dtype)
 
     n_particles = max(config.swarm_size, len(initial_normals))
     v_max = _PSO_VELOCITY_CLAMP * 2.0
@@ -778,16 +829,18 @@ def search_normal(
     pso_config: PsoConfig | None,
     gd_config: GdConfig | None,
     swarm_seed: int,
+    swarm_dtype=np.float32,
 ) -> tuple[tuple[np.ndarray, float], ...]:
     """The normal search: best start, then swarm, then polish.
 
     Returns the ``(normal, psi)`` after each of the three stages. The swarm
-    draws its random particles from ``swarm_seed``; it is skipped and
-    repeats the previous point when ``pso_config`` is None.
+    draws its random particles from ``swarm_seed`` and scores them in
+    ``swarm_dtype``; it is skipped and repeats the previous point when
+    ``pso_config`` is None.
     The polish is projected gradient descent when given a ``GdConfig`` and
     the Newton polish (``newton_refine``) when given None. A stage that
     fails to improve falls back to the previous point, so psi never
-    increases. Every psi goes through the same evaluation path.
+    increases. Every psi is scored by one float64 evaluator.
     """
     evaluator = _PsiEvaluator(reduced, reduced.mean_pixel)
     values = [evaluator.value(n) for n in starts]
@@ -799,7 +852,7 @@ def search_normal(
         return stages[-1] if psi > stages[-1][1] else (normal, psi)
 
     stages.append(stages[-1] if pso_config is None else no_worse(
-        pso_minimize(reduced, starts, pso_config, swarm_seed)
+        pso_minimize(reduced, starts, pso_config, swarm_seed, swarm_dtype)
     ))
     start = stages[-1][0]
     stages.append(no_worse(

@@ -489,6 +489,26 @@ def test_psi_value_is_a_one_row_batch_bit_for_bit(monkeypatch, block_rows):
         assert np.array_equal(value, evaluator.batch(n[None])[0])
 
 
+def test_psi_float32_batch_matches_float64_on_the_special_rows():
+    evaluator, normals = kernel_case(296)
+    single = _PsiEvaluator(simple_reduced(evaluator.pixels), evaluator.c_star, np.float32)
+    assert single._block.dtype == np.float32
+    assert single._block.shape[0] == 2 * evaluator._block.shape[0]  # the same bytes per block
+    got, want = single.batch(normals), evaluator.batch(normals)
+    assert got.dtype == np.float64
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.isinf(got[2:4]).all()  # the orthogonal rows fail the float64 denom-floor test
+    # under +-e1, pixel 3's n . p is -1e-310, below float32's range: it rounds
+    # to zero and clamps to +1/MU_FLOOR, where float64 keeps it at -1/MU_FLOOR
+    flip = evaluator.sq_norms[3] * ((1.0 - 1.0 / MU_FLOOR) ** 2 - (1.0 + 1.0 / MU_FLOOR) ** 2)
+    np.testing.assert_allclose(got[:2], want[:2] + flip, rtol=1e-5, atol=0.0)
+    # a random row agrees less closely: float32 loses about 1e-7 |n| |p| of
+    # n . p to cancellation, which a pixel near the clamp magnifies in (d / n . p)^2
+    np.testing.assert_allclose(got[4:], want[4:], rtol=1e-3, atol=0.0)
+    for n in normals[:20]:
+        assert np.array_equal(single.value(n), single.batch(n[None])[0])
+
+
 def test_psi_batch_is_bitwise_sign_invariant():
     # negating n negates both n . p and c* . n exactly, so their ratio mu,
     # and with it the score, is bit for bit the same
@@ -1164,6 +1184,22 @@ def test_search_swarm_never_reports_above_best_start(seed):
     assert psi_swarm == _PsiEvaluator(reduced, c_star).value(normal)
 
 
+@pytest.mark.parametrize("k, snr_db", [(3, None), (4, 25.0), (5, 30.0)])
+def test_float32_swarm_ends_where_a_float64_swarm_does(k, snr_db):
+    # the swarm only compares psi values; the polish and every reported psi
+    # are float64, so the answer is the float64 swarm's
+    scene = gen_scene(SynthConfig(
+        height=32, width=32, bands=30, endmembers=k, scale_std=0.3, snr_db=snr_db, seed=1 + (k == 3)
+    ))
+    reduced = svd_reduce(scene.scaled_cube, k)
+    candidate_seed, swarm_seed = derive_seeds(3)
+    starts = candidate_normals(reduced, 200, candidate_seed)
+    single = search_normal(reduced, starts, PsoConfig(), None, swarm_seed)
+    double = search_normal(reduced, starts, PsoConfig(), None, swarm_seed, np.float64)
+    assert single[0][1] == double[0][1]  # the starts are scored in float64 either way
+    assert single[2][1] == pytest.approx(double[2][1], rel=1e-12, abs=0.0)
+
+
 def test_search_falls_back_when_a_stage_does_worse(monkeypatch):
     reduced, _, _ = make_line_data(n_pixels=96, mu_std=0.3, seed=25)
     c_star = reduced.mean_pixel
@@ -1216,9 +1252,9 @@ def test_rng_seed_drives_the_swarm_with_or_without_a_config(monkeypatch):
     scene = small_scene(0.3, seed=6)
     real_pso, seeds = correct_module.pso_minimize, []
 
-    def spy_pso(reduced, initial_normals, config, seed):
+    def spy_pso(reduced, initial_normals, config, seed, dtype):
         seeds.append(seed)
-        return real_pso(reduced, initial_normals, config, seed)
+        return real_pso(reduced, initial_normals, config, seed, dtype)
 
     monkeypatch.setattr(correct_module, "pso_minimize", spy_pso)
     for rng_seed in (1, 2):
@@ -1249,11 +1285,11 @@ def test_default_swarm_holds_the_accepted_candidates(monkeypatch, snr_db, k):
         runs[-1]["rows"].append(normals.shape[0])
         return real_batch(evaluator, normals)
 
-    def spy_pso(reduced, initial_normals, config, seed):
-        runs.append({"starts": len(initial_normals), "rows": []})
+    def spy_pso(reduced, initial_normals, config, seed, dtype):
+        runs.append({"starts": len(initial_normals), "rows": [], "dtype": dtype})
         monkeypatch.setattr(_PsiEvaluator, "batch", spy_batch)
         try:
-            return real_pso(reduced, initial_normals, config, seed)
+            return real_pso(reduced, initial_normals, config, seed, dtype)
         finally:
             monkeypatch.setattr(_PsiEvaluator, "batch", real_batch)
 
@@ -1265,8 +1301,21 @@ def test_default_swarm_holds_the_accepted_candidates(monkeypatch, snr_db, k):
     assert (accepted < 64) if snr_db == 25.0 else (64 < accepted < 200)
     # every evaluation of the swarm, the first and one per iteration, scores each particle
     assert runs[0]["rows"] == [max(64, accepted)] * (PsoConfig().iterations + 1)
+    assert runs[0]["dtype"] is np.float32  # the default search's swarm decides in float32
     assert np.array_equal(a.data, b.data)
     assert ra.to_json_dict() == rb.to_json_dict()
+
+
+@pytest.mark.parametrize("factor", [1e30, 1e-30])
+def test_run_correction_is_unmoved_by_a_huge_or_tiny_cube(factor):
+    # the float32 swarm sees the pixels rescaled by a power of two, so their
+    # squared norms neither overflow (1e60) nor underflow (1e-60) float32
+    scene = small_scene(0.3, seed=4)
+    _, want = run_correction(scene.scaled_cube, 3, rng_seed=1)
+    _, got = run_correction(HsiCube(scene.scaled_cube.data * factor), 3, rng_seed=1)
+    np.testing.assert_allclose(got.mu_hat.values, want.mu_hat.values, rtol=0.0, atol=1e-7)
+    assert got.psi_final == pytest.approx(want.psi_final * factor**2, rel=1e-9)
+    assert got.psi_after_pso < got.psi_initial  # the swarm still tells its particles apart
 
 
 def test_run_correction_unscaled_fixed_point():

@@ -1,6 +1,6 @@
 """Run the README walkthrough on two checkouts and compare every artifact they write.
 
-    python tools/artifact_diff.py --parent REV [--threads 1,2] [--small]
+    python tools/artifact_diff.py --parent REV [--threads 1,2] [--small] [--expect-config KEYS]
 
 The parent side runs in a ``git worktree`` of REV, the other side in this
 working tree; the worktree is removed on every exit. Each side runs the
@@ -15,6 +15,9 @@ imported from that side's ``src``. Every artifact is printed with:
 
 The exit status is 0 when every artifact is byte-identical, manifests
 apart, whose keys may differ only in ``duration_seconds``; 1 otherwise.
+``--expect-config candidates,pso_iters`` names the manifest ``config``
+entries (one per command-line option) that a change adds, removes or
+changes on purpose: manifests may then differ in those keys too.
 
     python tools/artifact_diff.py --walk OUT --src SRC [--small]
 
@@ -173,8 +176,13 @@ def is_manifest(path: Path) -> bool:
     return path.name == "manifest.json" or path.name.endswith(".manifest.json")
 
 
-def compare_dirs(parent: Path, child: Path) -> list[dict]:
-    """One row per artifact of either run: what differs between the two."""
+def compare_dirs(parent: Path, child: Path, expected_config: tuple[str, ...] = ()) -> list[dict]:
+    """One row per artifact of either run: what differs between the two.
+
+    A manifest is ok when the keys that differ are ``duration_seconds`` and
+    the ``config.<name>`` entries named in ``expected_config``.
+    """
+    expected = {"duration_seconds"} | {f"config.{name}" for name in expected_config}
     files = {p.relative_to(d).as_posix() for d in (parent, child) for p in d.rglob("*") if p.is_file()}
     rows = []
     for name in sorted(files):
@@ -188,7 +196,7 @@ def compare_dirs(parent: Path, child: Path) -> list[dict]:
         if is_manifest(a):
             ja, jb = _flatten(json.loads(a.read_text())), _flatten(json.loads(b.read_text()))
             row["keys"] = sorted(k for k in ja.keys() | jb.keys() if ja.get(k) != jb.get(k))
-            row["ok"] = set(row["keys"]) <= {"duration_seconds"}
+            row["ok"] = set(row["keys"]) <= expected
         else:
             row["max_rel"] = max_relative_difference(a, b)
             row["ok"] = row["identical"]
@@ -237,7 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--small", action="store_true", help="shrunken walkthrough: 16x16 px, 12 bands, K=3")
     parser.add_argument("--walk", type=Path, help="run the walkthrough once into this directory")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="with --walk: src holding hsiscale")
+    parser.add_argument("--expect-config", default="", metavar="KEYS",
+                        help="manifest config keys that may differ, comma-separated (e.g. candidates,pso_iters)")
     args = parser.parse_args(argv)
+    expected_config = tuple(key.strip() for key in args.expect_config.split(",") if key.strip())
     size = "small" if args.small else "readme"
     if args.walk is not None:
         walk(args.walk.resolve(), args.src.resolve(), size)
@@ -255,14 +266,15 @@ def main(argv: list[str] | None = None) -> int:
             for n in threads:
                 for side, src in sides.items():
                     run_side(src, tmp / f"{side}-{n}", n, size)
-                rows = compare_dirs(tmp / f"parent-{n}", tmp / f"change-{n}")
+                rows = compare_dirs(tmp / f"parent-{n}", tmp / f"change-{n}", expected_config)
                 print(f"# {n} BLAS thread(s): parent {args.parent} vs working tree, {len(rows)} artifacts")
                 for row in rows:
                     print(format_row(row))
                 ok &= all(row["ok"] for row in rows)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print("every artifact identical (manifests: duration_seconds only)" if ok else "artifacts differ")
+    allowed = ", ".join(["duration_seconds", *(f"config.{key}" for key in expected_config)])
+    print(f"every artifact identical (manifests: {allowed} only)" if ok else "artifacts differ")
     return 0 if ok else 1
 
 
